@@ -47,7 +47,6 @@ from .routing import (
     adaptive_step,
     arithmetic_min_hops,
     build_routing_table,
-    candidate_hop_counts,
     clockwise_hop_count,
     clockwise_step,
     head_flit_address,

@@ -10,7 +10,6 @@ many routers fit on a chip under a budget fraction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -21,7 +20,8 @@ from .routing import (
     AdaptiveMode,
     RouteTrace,
     RouterConfig,
-    candidate_form_hops,
+    _scan,
+    dataclass_json,
     payload_bits,
     trace_route,
 )
@@ -125,35 +125,25 @@ def route_cycle_count(trace: RouteTrace, n: int | None = None) -> int:
     return abs(total) // n
 
 
-def cycle_report(cfg: RouterConfig, max_wraps: int | None = None) -> CycleReport:
+def cycle_report(cfg: RouterConfig) -> CycleReport:
     """Minimum wraps at which a shortest route exists, per destination.
 
     For each destination offset the candidate scan of both directions is
-    extended wrap by wrap until the closed-form length can no longer reach
-    the breadth-first distance; the first wrap count achieving it wins.
+    extended wrap by wrap while a candidate can still be as short as the
+    breadth-first distance d, that is while ``(base + m*n) // s2 <= d``;
+    the fewest wraps at which a direction reaches d wins.
     """
     n, s2 = cfg.n, cfg.s2
     profile = circulant_distance_profile(n, (cfg.s1, s2))
     per = [0] * n
     for offset in range(1, n):
         d = profile[offset]
-        best_m: int | None = None
+        reaching = []
         for base in (offset, n - offset):
-            m = 0
-            while (base + m * n) // s2 <= d:
-                if max_wraps is not None and m > max_wraps:
-                    break
-                first, second = candidate_form_hops(base + m * n, s2)
-                if first == d or second == d:
-                    if best_m is None or m < best_m:
-                        best_m = m
-                    break
-                m += 1
-        if best_m is None:
-            raise AssertionError(
-                f"no candidate reaches distance {d} for offset {offset} in {cfg}"
-            )  # pragma: no cover
-        per[offset] = best_m
+            hops, wraps, _ = _scan(base, n, s2, ((d + 1) * s2 - 1 - base) // n)
+            if hops == d:
+                reaching.append(wraps)
+        per[offset] = min(reaching)
     return CycleReport(n=n, s2=s2, per_destination=tuple(per))
 
 
@@ -291,18 +281,7 @@ class CapacityReport:
     reg_used: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "algorithm": self.algorithm,
-                "alm_total": self.alm_total,
-                "reg_total": self.reg_total,
-                "budget_fraction": self.budget_fraction,
-                "max_routers": self.max_routers,
-                "binding_resource": self.binding_resource,
-                "alm_used": self.alm_used,
-                "reg_used": self.reg_used,
-            }
-        )
+        return dataclass_json(self)
 
 
 def resource_usage(model: ResourceModel, algorithm: str, resource: str, x: int) -> float:

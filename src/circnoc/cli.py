@@ -2,14 +2,13 @@
 
 Every subcommand is a thin wrapper: it parses flags, calls one library
 operation, prints a human-readable summary, and writes machine artifacts
-only when ``--out`` is given.  Exit codes: 0 success, 1 validation or
-usage error, 2 internal failure.
+only when ``--out`` is given.  Exit codes: 0 success, 1 validation,
+usage or output-file error, 2 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from pathlib import Path
@@ -102,26 +101,21 @@ def _cmd_topo(args) -> int:
         if args.out:
             _write(args.out, topology.format_metrics_csv([(graph.n, graph.kind, s1, s2, m)]))
     elif args.out:
-        if args.format == "dot":
-            _write(args.out, topology.graph_to_dot(graph))
-        elif args.format == "csv":
-            _write(args.out, topology.graph_to_edge_csv(graph))
-        else:
-            raise ValidationError(f"graph export supports dot or csv, not {args.format!r}")
+        export = topology.graph_to_dot if args.format == "dot" else topology.graph_to_edge_csv
+        _write(args.out, export(graph))
     return 0
 
 
 def _cmd_table(args) -> int:
     cfg = _router_cfg(args)
     table = routing.build_routing_table(cfg)
-    print(f"routing table for {cfg}: {cfg.n * (cfg.n - 1)} entries")
-    width = len(str(cfg.n - 1))
-    header = " ".join(f"{v:>{width}}" for v in range(cfg.n))
+    n, row = cfg.n, table.ports
+    print(f"routing table for {cfg}: {n * (n - 1)} entries")
+    width = len(str(n - 1))
+    header = " ".join(f"{v:>{width}}" for v in range(n))
     print(f"{'':>{width}}  {header}")
-    for u in range(cfg.n):
-        cells = " ".join(
-            f"{'-' if u == v else table.entries[u][v]:>{width}}" for v in range(cfg.n)
-        )
+    for u in range(n):
+        cells = " ".join(f"{'-' if u == v else row[(v - u) % n]:>{width}}" for v in range(n))
         print(f"{u:>{width}}  {cells}")
     if args.out:
         _write(args.out, table.to_csv())
@@ -180,19 +174,7 @@ def _cmd_cycles(args) -> int:
     report = analysis.cycle_report(cfg)
     print(f"max cycles = {report.max_cycles} for {cfg}")
     if args.out:
-        _write(
-            args.out,
-            json.dumps(
-                {
-                    "n": report.n,
-                    "s2": report.s2,
-                    "max_cycles": report.max_cycles,
-                    "per_destination": list(report.per_destination),
-                },
-                indent=2,
-            )
-            + "\n",
-        )
+        _write(args.out, routing.dataclass_json(report, {"max_cycles": "s2"}, indent=2) + "\n")
     return 0
 
 
@@ -234,18 +216,11 @@ def _cmd_capacity(args) -> int:
     return 0
 
 
-_FIGURE_DEFAULT_VALUES = {
-    "topology_metrics": tuple(range(3, 24)),
-    "cycles": tuple(range(5, 201)),
-    "efficiency": harness.square_sizes(),
-    "memory": harness.square_sizes(),
-    "resources": harness.square_sizes(),
-    "capacity": (),
-}
-
-
 def _cmd_figure(args) -> int:
-    values = _parse_int_range(args.values) if args.values else _FIGURE_DEFAULT_VALUES[args.id]
+    if args.values:
+        values = _parse_int_range(args.values)
+    else:
+        values = harness.FIGURE_SPECS[args.id].default_values
     config = harness.ExperimentConfig(
         figure=args.id,
         values=values,
@@ -303,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--torus", help="torus as RxC")
     p.add_argument("--metrics", action="store_true", help="compute diameter and average distance")
     p.add_argument("--out", help="artifact path")
-    p.add_argument("--format", choices=("csv", "json", "dot"), default="dot")
+    p.add_argument("--format", choices=("csv", "dot"), default="dot")
     p.set_defaults(func=_cmd_topo)
 
     p = sub.add_parser("table", help="build the table-routing port matrix")
@@ -388,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (LivelockError, DisconnectedGraphError) as exc:

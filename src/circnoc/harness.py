@@ -11,16 +11,16 @@ violation with its full reproduction tuple.
 from __future__ import annotations
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .analysis import (
     DEFAULT_RESOURCE_MODEL,
+    CapacityReport,
     ChipProfile,
+    MemoryReport,
     chip_capacity,
     efficiency_k,
     max_cycle_count,
@@ -28,11 +28,13 @@ from .analysis import (
     resource_usage,
 )
 from .errors import LivelockError, ValidationError
-from .routing import ALGORITHMS, CORRECTED, AdaptiveMode, RouterConfig, trace_route
+from .routing import ALGORITHMS, CORRECTED, AdaptiveMode, RouterConfig, dataclass_json, trace_route
 from .topology import SELECTION_RULES, compare_topologies, search_best_ring_circulant
 
 __all__ = [
     "FIGURES",
+    "FIGURE_SPECS",
+    "FigureSpec",
     "REFERENCE_FIRST_N_OVER_TWO_CYCLES",
     "ExperimentConfig",
     "ExperimentResult",
@@ -43,28 +45,10 @@ __all__ = [
     "square_sizes",
 ]
 
-FIGURES = ("topology_metrics", "cycles", "efficiency", "memory", "resources", "capacity")
-
 # Reference value: first network size whose best ring circulant needs more
 # than two wraps on some shortest route.  The cycles experiment logs how
 # the sweep under this package's selection rule compares against it.
 REFERENCE_FIRST_N_OVER_TWO_CYCLES = 174
-
-_FIGURE_COLUMNS = {
-    "topology_metrics": (
-        "n", "selection", "s1", "s2", "circ_D", "circ_Lav", "mesh_D", "mesh_Lav",
-        "torus_D", "torus_Lav", "redD_vs_mesh", "redD_vs_torus",
-        "redLav_vs_mesh", "redLav_vs_torus",
-    ),
-    "cycles": ("n", "s2", "max_cycles"),
-    "efficiency": ("n", "s2", "algorithm", "K"),
-    "memory": ("n", "payload_bits", "table_bits", "clockwise_bits", "adaptive_bits"),
-    "resources": ("x", "algorithm", "alm", "registers"),
-    "capacity": (
-        "algorithm", "alm_total", "reg_total", "budget_fraction",
-        "max_routers", "binding_resource", "alm_used", "reg_used",
-    ),
-}
 
 
 def square_sizes(min_side: int = 3, max_side: int = 23) -> tuple[int, ...]:
@@ -125,77 +109,53 @@ class ExperimentResult:
     path: Path | None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CIRCNOC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Apply fn to items, optionally across threads, preserving order."""
-    workers = _thread_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _rows_topology_metrics(config: ExperimentConfig) -> list[tuple]:
-    def one(side: int) -> tuple:
-        row = compare_topologies([side], config.selection)[0]
+    rows = []
+    for row in compare_topologies(sorted(set(config.values)), config.selection):
         s1, s2 = row.circulant.generatrices[0], row.circulant.generatrices[-1]
-        return (
+        rows.append((
             row.n, row.selection, s1, s2,
             row.circulant_metrics.diameter, row.circulant_metrics.avg_distance,
             row.mesh_metrics.diameter, row.mesh_metrics.avg_distance,
             row.torus_metrics.diameter, row.torus_metrics.avg_distance,
             row.diameter_reduction_vs_mesh, row.diameter_reduction_vs_torus,
             row.avg_distance_reduction_vs_mesh, row.avg_distance_reduction_vs_torus,
-        )
-
-    return _map_ordered(one, sorted(set(config.values)))
+        ))
+    return rows
 
 
 def _best_ring_cfg(n: int) -> RouterConfig:
     return RouterConfig.from_spec(search_best_ring_circulant(n))
 
 
-def _rows_cycles(config: ExperimentConfig) -> tuple[list[tuple], dict]:
-    def one(n: int) -> tuple:
+def _rows_cycles(config: ExperimentConfig) -> list[tuple]:
+    rows = []
+    for n in sorted(set(config.values)):
         cfg = _best_ring_cfg(n)
-        return (n, cfg.s2, max_cycle_count(cfg))
+        rows.append((n, cfg.s2, max_cycle_count(cfg)))
+    return rows
 
-    rows = _map_ordered(one, sorted(set(config.values)))
+
+def _meta_cycles(rows: list[tuple]) -> dict:
     first_n = next((n for n, _, cycles in rows if cycles > 2), None)
-    meta = {
+    return {
         "first_n_exceeding_two": first_n,
         "reference_first_n": REFERENCE_FIRST_N_OVER_TWO_CYCLES,
         "matches_reference": first_n == REFERENCE_FIRST_N_OVER_TWO_CYCLES,
     }
-    return rows, meta
 
 
 def _rows_efficiency(config: ExperimentConfig) -> list[tuple]:
-    def one(n: int) -> list[tuple]:
+    rows = []
+    for n in sorted(set(config.values)):
         cfg = _best_ring_cfg(n)
-        out = []
         for algorithm in config.algorithms:
-            report = efficiency_k(cfg, algorithm, config.mode)
-            out.append((n, cfg.s2, algorithm, report.k))
-        return out
-
-    nested = _map_ordered(one, sorted(set(config.values)))
-    return [row for group in nested for row in group]
+            rows.append((n, cfg.s2, algorithm, efficiency_k(cfg, algorithm, config.mode).k))
+    return rows
 
 
 def _rows_memory(config: ExperimentConfig) -> list[tuple]:
-    rows = []
-    for n in sorted(set(config.values)):
-        r = memory_report(n)
-        rows.append((r.n, r.payload_bits, r.table_bits, r.clockwise_bits, r.adaptive_bits))
-    return rows
+    return [astuple(memory_report(n)) for n in sorted(set(config.values))]
 
 
 def _rows_resources(config: ExperimentConfig) -> list[tuple]:
@@ -214,16 +174,45 @@ def _rows_resources(config: ExperimentConfig) -> list[tuple]:
 
 
 def _rows_capacity(config: ExperimentConfig) -> list[tuple]:
-    rows = []
-    for algorithm in config.algorithms:
-        r = chip_capacity(DEFAULT_RESOURCE_MODEL, algorithm, ChipProfile())
-        rows.append(
-            (
-                r.algorithm, r.alm_total, r.reg_total, r.budget_fraction,
-                r.max_routers, r.binding_resource, r.alm_used, r.reg_used,
-            )
-        )
-    return rows
+    profile = ChipProfile()
+    return [astuple(chip_capacity(DEFAULT_RESOURCE_MODEL, a, profile)) for a in config.algorithms]
+
+
+def _field_names(report: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(report))
+
+
+class FigureSpec(NamedTuple):
+    """One figure: its CSV columns, default sweep, row builder and metadata."""
+
+    columns: tuple[str, ...]
+    default_values: tuple[int, ...]
+    rows: Callable[[ExperimentConfig], list[tuple]]
+    meta: Callable[[list[tuple]], dict] | None = None
+
+
+FIGURE_SPECS = {
+    "topology_metrics": FigureSpec(
+        (
+            "n", "selection", "s1", "s2", "circ_D", "circ_Lav", "mesh_D", "mesh_Lav",
+            "torus_D", "torus_Lav", "redD_vs_mesh", "redD_vs_torus",
+            "redLav_vs_mesh", "redLav_vs_torus",
+        ),
+        tuple(range(3, 24)),
+        _rows_topology_metrics,
+    ),
+    "cycles": FigureSpec(
+        ("n", "s2", "max_cycles"), tuple(range(5, 201)), _rows_cycles, _meta_cycles
+    ),
+    "efficiency": FigureSpec(("n", "s2", "algorithm", "K"), square_sizes(), _rows_efficiency),
+    "memory": FigureSpec(_field_names(MemoryReport), square_sizes(), _rows_memory),
+    "resources": FigureSpec(
+        ("x", "algorithm", "alm", "registers"), square_sizes(), _rows_resources
+    ),
+    "capacity": FigureSpec(_field_names(CapacityReport), (), _rows_capacity),
+}
+
+FIGURES = tuple(FIGURE_SPECS)
 
 
 def _render_csv(columns: tuple[str, ...], rows: Iterable[tuple]) -> str:
@@ -245,25 +234,13 @@ def _render_json(figure: str, columns: tuple[str, ...], rows: Iterable[tuple], m
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Build one figure dataset and optionally write it to ``out_path``."""
-    meta: dict[str, object] = {}
-    if config.figure == "topology_metrics":
-        rows = _rows_topology_metrics(config)
-    elif config.figure == "cycles":
-        rows, meta = _rows_cycles(config)
-    elif config.figure == "efficiency":
-        rows = _rows_efficiency(config)
-    elif config.figure == "memory":
-        rows = _rows_memory(config)
-    elif config.figure == "resources":
-        rows = _rows_resources(config)
-    else:
-        rows = _rows_capacity(config)
-
-    columns = _FIGURE_COLUMNS[config.figure]
+    spec = FIGURE_SPECS[config.figure]
+    rows = spec.rows(config)
+    meta = spec.meta(rows) if spec.meta else {}
     if config.out_format == "csv":
-        text = _render_csv(columns, rows)
+        text = _render_csv(spec.columns, rows)
     else:
-        text = _render_json(config.figure, columns, rows, meta)
+        text = _render_json(config.figure, spec.columns, rows, meta)
 
     path = None
     if config.out_path is not None:
@@ -274,7 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             raise OSError(f"cannot write experiment artifact to {path}: {exc}") from exc
     return ExperimentResult(
         figure=config.figure,
-        columns=columns,
+        columns=spec.columns,
         rows=tuple(rows),
         meta=meta,
         text=text,
@@ -319,18 +296,7 @@ class FuzzReport:
         return len(self.livelocks)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "trials": self.trials,
-                "n_min": self.n_min,
-                "n_max": self.n_max,
-                "hop_limit_factor": self.hop_limit_factor,
-                "livelock_count": self.livelock_count,
-                "livelocks": list(self.livelocks),
-            },
-            indent=2,
-        ) + "\n"
+        return dataclass_json(self, {"livelock_count": "hop_limit_factor"}, indent=2) + "\n"
 
 
 def fuzz_termination(config: FuzzConfig) -> FuzzReport:

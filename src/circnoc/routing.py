@@ -3,7 +3,7 @@
 Three per-hop strategies share one four-port router model:
 
 * ``table``     -- next hops precomputed from shortest-path distances and
-                   stored per (source, destination) pair;
+                   stored per label difference (one n-entry row);
 * ``clockwise`` -- one-direction iterative arithmetic on the label
                    difference, cheap to evaluate but not always shortest;
 * ``adaptive``  -- bidirectional candidate search that also weighs routes
@@ -18,7 +18,7 @@ immutable once built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import LivelockError, ValidationError
 from .topology import CirculantSpec, circulant_distance_profile
@@ -45,7 +45,6 @@ __all__ = [
     "adaptive_step",
     "trace_route",
     "candidate_form_hops",
-    "candidate_hop_counts",
     "arithmetic_min_hops",
 ]
 
@@ -127,31 +126,40 @@ AS_PRINTED = AdaptiveMode("printed", 2)
 
 @dataclass(frozen=True)
 class RoutingTable:
-    """N x N next-hop port matrix; the diagonal is undefined (None)."""
+    """Next-hop ports indexed by label difference; ``ports[0]`` is None.
+
+    Circulants are vertex-transitive, so the port from u toward v is
+    ``ports[(v - u) % n]`` and one n-entry row serves every router.
+    """
 
     cfg: RouterConfig
-    entries: tuple[tuple[int | None, ...], ...]
+    ports: tuple[int | None, ...]
 
     @property
     def n(self) -> int:
         return self.cfg.n
+
+    @property
+    def entries(self) -> tuple[tuple[int | None, ...], ...]:
+        """N x N view of the row: ``entries[u][v]``; the diagonal is None."""
+        row, n = self.ports, self.n
+        return tuple(row[n - u:] + row[:n - u] for u in range(n))
 
     def port(self, current: int, dest: int) -> int:
         _check_node(current, self.n, "current")
         _check_node(dest, self.n, "dest")
         if current == dest:
             raise ValidationError(f"packet already delivered: node {current}")
-        port = self.entries[current][dest]
-        assert port is not None
-        return port
+        return self.ports[(dest - current) % self.n]
 
     def to_csv(self) -> str:
         """CSV rows ``from,to,port`` sorted by (from, to)."""
+        n, row = self.n, self.ports
         lines = ["from,to,port"]
-        for u in range(self.n):
-            for v in range(self.n):
+        for u in range(n):
+            for v in range(n):
                 if u != v:
-                    lines.append(f"{u},{v},{self.entries[u][v]}")
+                    lines.append(f"{u},{v},{row[(v - u) % n]}")
         return "\n".join(lines) + "\n"
 
 
@@ -173,19 +181,22 @@ class RouteTrace:
         return len(self.ports)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "algorithm": self.algorithm,
-                "n": self.n,
-                "s1": self.s1,
-                "s2": self.s2,
-                "src": self.src,
-                "dst": self.dst,
-                "nodes": list(self.nodes),
-                "ports": list(self.ports),
-                "hops": self.hops,
-            }
-        )
+        return dataclass_json(self, {"hops": "ports"})
+
+
+def dataclass_json(obj, derived: dict[str, str] | None = None, indent: int | None = None) -> str:
+    """JSON object of a dataclass's fields, in declaration order.
+
+    ``derived`` maps each extra property to include onto the field it
+    follows, so reports keep a fixed key order and identical bytes.
+    """
+    data = {}
+    for key, value in asdict(obj).items():
+        data[key] = value
+        for name, after in (derived or {}).items():
+            if after == key:
+                data[name] = getattr(obj, name)
+    return json.dumps(data, indent=indent)
 
 
 def _check_node(value: int, n: int, name: str) -> None:
@@ -252,24 +263,17 @@ def _shortest_port(profile: tuple[int, ...], steps: tuple[int, int, int, int], o
 
 
 def build_routing_table(cfg: RouterConfig) -> RoutingTable:
-    """Precompute next-hop ports for every (source, destination) pair.
+    """Precompute the next-hop port for every label difference.
 
     Each entry names a port leading one hop closer to the destination;
-    among equally short ports the smallest port number wins.
+    among equally short ports the smallest port number wins.  The port
+    depends only on the label difference, so one row is computed.
     """
     n = cfg.n
     profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
     steps = cfg.port_steps()
-    rows = []
-    for u in range(n):
-        row: list[int | None] = []
-        for v in range(n):
-            if u == v:
-                row.append(None)
-            else:
-                row.append(_shortest_port(profile, steps, (v - u) % n, n))
-        rows.append(tuple(row))
-    return RoutingTable(cfg=cfg, entries=tuple(rows))
+    row = tuple(_shortest_port(profile, steps, offset, n) for offset in range(1, n))
+    return RoutingTable(cfg=cfg, ports=(None,) + row)
 
 
 def table_next_hop(table: RoutingTable, current: int, dest: int) -> tuple[int, int]:
@@ -329,73 +333,41 @@ def candidate_form_hops(target: int, s2: int) -> tuple[int, int]:
     return q + r, q - r + s2 + 1
 
 
-def candidate_hop_counts(offset: int, cfg: RouterConfig, max_wraps: int = 4) -> list[tuple[int, int]]:
-    """All closed-form candidates for reaching ``offset`` from node 0.
+def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int, int, bool]:
+    """Adaptive candidate scan of one travel direction covering ``base``.
 
-    Enumerates both travel directions and wrap counts m = 0..max_wraps;
-    returns (hops, wraps) pairs.  With enough wraps the minimum equals
-    the true shortest-path distance.
+    Follows the scan order of the hardware description: the unwrapped pair
+    first (a winning remainder route starts with the unit generatrix),
+    then both forms for each extra ring wrap m = 1..max_wraps, replacing
+    the best only on strict improvement.  With ``max_wraps=None`` wraps
+    extend until ``(base + m*n) // s2`` exceeds the best, since no
+    candidate of wrap m is shorter than that; the result is then exact.
+    Returns (hops, wraps, unit step first).
     """
-    n = cfg.n
-    if not 1 <= offset < n:
-        raise ValidationError(f"offset {offset} out of range [1, {n})")
-    out = []
-    for base in (offset, n - offset):
-        for m in range(max_wraps + 1):
-            first, second = candidate_form_hops(base + m * n, cfg.s2)
-            out.append((first, m))
-            out.append((second, m))
-    return out
+    first, second = candidate_form_hops(base, s2)
+    unit = first < second and base % s2 > 0
+    best, wraps, m = first if first < second else second, 0, 1
+    while (m <= max_wraps) if max_wraps is not None else ((base + m * n) // s2 <= best):
+        first, second = candidate_form_hops(base + m * n, s2)
+        if first < best:
+            best, wraps, unit = first, m, False
+        if second < best:
+            best, wraps, unit = second, m, False
+        m += 1
+    return best, wraps, unit
 
 
-def arithmetic_min_hops(offset: int, cfg: RouterConfig, max_wraps: int | None = 4) -> int:
-    """Minimum closed-form route length to ``offset`` (candidate enumeration).
+def arithmetic_min_hops(offset: int, cfg: RouterConfig, max_wraps: int | None = None) -> int:
+    """Minimum closed-form route length to ``offset`` over both directions.
 
     With ``max_wraps=None`` wraps are extended until no candidate can beat
     the best found, which makes the result exactly the shortest-path
     distance; a fixed bound may overestimate when large wrap counts win.
     """
-    if max_wraps is not None:
-        return min(h for h, _ in candidate_hop_counts(offset, cfg, max_wraps))
     n = cfg.n
     if not 1 <= offset < n:
         raise ValidationError(f"offset {offset} out of range [1, {n})")
-    best = None
-    for base in (offset, n - offset):
-        m = 0
-        while best is None or (base + m * n) // cfg.s2 <= best:
-            first, second = candidate_form_hops(base + m * n, cfg.s2)
-            shorter = min(first, second)
-            if best is None or shorter < best:
-                best = shorter
-            m += 1
-    return best
-
-
-def _directional_best(base: int, n: int, s2: int, max_cycles: int) -> tuple[int, bool]:
-    """Best candidate length for one travel direction, plus unit-step flag.
-
-    Follows the candidate scan order of the hardware description: the
-    unwrapped pair first (where a winning remainder route starts with the
-    unit generatrix), then both forms for each extra wrap, replacing the
-    best only on strict improvement.  Returns (best length, use unit step).
-    """
-    q, r = divmod(base, s2)
-    first = q + r
-    second = q - r + s2 + 1
-    if r == 0:
-        best, unit = first, False
-    elif first < second:
-        best, unit = first, True
-    else:
-        best, unit = second, False
-    for m in range(1, max_cycles + 1):
-        first, second = candidate_form_hops(base + m * n, s2)
-        if first < best:
-            best, unit = first, False
-        if second < best:
-            best, unit = second, False
-    return best, unit
+    return min(_scan(base, n, cfg.s2, max_wraps)[0] for base in (offset, n - offset))
 
 
 def step_cycles(start: int, end: int, cfg: RouterConfig, mode: AdaptiveMode = CORRECTED) -> int:
@@ -414,9 +386,9 @@ def step_cycles(start: int, end: int, cfg: RouterConfig, mode: AdaptiveMode = CO
     if start > end:
         raise ValidationError(f"expects start < end, got {start} > {end}")
     s = end - start
-    best_right, unit_right = _directional_best(s, n, cfg.s2, mode.max_cycles)
+    best_right, _, unit_right = _scan(s, n, cfg.s2, mode.max_cycles)
     left_base = s + n if mode.variant == "printed" else n - s
-    best_left, unit_left = _directional_best(left_base, n, cfg.s2, mode.max_cycles)
+    best_left, _, unit_left = _scan(left_base, n, cfg.s2, mode.max_cycles)
     if best_right < best_left:
         return cfg.s1 if unit_right else cfg.s2
     return -(cfg.s1 if unit_left else cfg.s2)
@@ -462,8 +434,9 @@ def trace_route(
 ) -> RouteTrace:
     """Trace a packet from src to dst, recording nodes and ports per hop.
 
-    ``hop_limit`` (default 2n) is a livelock tripwire; exceeding it raises
-    ``LivelockError`` naming the algorithm, topology, and pair.
+    ``hop_limit`` (default 2n, at least 1) is a livelock tripwire;
+    exceeding it raises ``LivelockError`` naming the algorithm, topology,
+    and pair.
     """
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -472,6 +445,8 @@ def trace_route(
     _check_node(dst, n, "dst")
     if hop_limit is None:
         hop_limit = 2 * n
+    elif hop_limit < 1:
+        raise ValidationError(f"hop limit must be >= 1, got {hop_limit}")
 
     if algorithm == "table":
         profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))

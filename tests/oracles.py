@@ -77,3 +77,37 @@ def dp_min_wraps(n, s2):
 def ring_s2_values(n):
     """All second generatrices valid for routing in an n-node ring circulant."""
     return range(2, (n - 1) // 2 + 1)
+
+
+def _ref_directional_best(base, n, s2, max_cycles):
+    """Adaptive candidate scan of one direction: the unwrapped pair, then every
+    wrap up to max_cycles, replacing the best only on strict improvement."""
+    q, r = divmod(base, s2)
+    first = q + r
+    second = q - r + s2 + 1
+    if r == 0:
+        best, unit = first, False
+    elif first < second:
+        best, unit = first, True
+    else:
+        best, unit = second, False
+    for m in range(1, max_cycles + 1):
+        q, r = divmod(base + m * n, s2)
+        first, second = q + r, q - r + s2 + 1
+        if first < best:
+            best, unit = first, False
+        if second < best:
+            best, unit = second, False
+    return best, unit
+
+
+def ref_step_cycles(start, end, cfg, mode):
+    """Signed adaptive step for start < end, from the two directional scans."""
+    n = cfg.n
+    s = end - start
+    best_right, unit_right = _ref_directional_best(s, n, cfg.s2, mode.max_cycles)
+    left_base = s + n if mode.variant == "printed" else n - s
+    best_left, unit_left = _ref_directional_best(left_base, n, cfg.s2, mode.max_cycles)
+    if best_right < best_left:
+        return cfg.s1 if unit_right else cfg.s2
+    return -(cfg.s1 if unit_left else cfg.s2)

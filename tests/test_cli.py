@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from circnoc.analysis import DEFAULT_RESOURCE_MODEL, chip_capacity
 from circnoc.cli import main
 from circnoc.harness import ExperimentConfig, run_experiment
@@ -80,6 +82,16 @@ def test_route_hop_limit_exhaustion_is_internal_error(capsys):
     )
     assert code == 2
     assert "hop limit" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_route_hop_limit_below_one_exits_one(capsys, limit):
+    code, _, err = run(
+        capsys, "route", "--algorithm", "clockwise", "--circulant", "16,1,7",
+        "--src", "0", "--dst", "6", "--hop-limit", limit,
+    )
+    assert code == 1
+    assert "error: hop limit must be >= 1" in err
 
 
 def test_compare_prints_rows_and_writes_csv(capsys, tmp_path):
@@ -203,3 +215,25 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "topo" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "--id", "memory", "--values", "9"),
+        ("table", "--circulant", "8,1,3"),
+    ],
+)
+def test_unwritable_out_exits_one(capsys, tmp_path, argv):
+    out = tmp_path / "missing-dir" / "artifact.csv"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_topo_json_format_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "topo", "--circulant", "8,1,3", "--out", str(tmp_path / "g"), "--format", "json"
+    )
+    assert code == 1
+    assert "usage:" in err

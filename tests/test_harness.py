@@ -163,16 +163,6 @@ def test_experiment_writes_artifact(tmp_path):
     assert path.read_text(encoding="utf-8") == result.text
 
 
-def test_thread_fanout_keeps_bytes_stable(monkeypatch):
-    config = ExperimentConfig(figure="topology_metrics", values=(3, 4, 5, 6))
-    monkeypatch.delenv("CIRCNOC_THREADS", raising=False)
-    serial = run_experiment(config).text
-    monkeypatch.setenv("CIRCNOC_THREADS", "4")
-    assert run_experiment(config).text == serial
-    monkeypatch.setenv("CIRCNOC_THREADS", "not-a-number")
-    assert run_experiment(config).text == serial
-
-
 # --- fuzzing -----------------------------------------------------------------------
 
 def test_fuzz_no_livelocks_smoke():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,7 +18,6 @@ from circnoc.routing import (
     arithmetic_min_hops,
     build_routing_table,
     candidate_form_hops,
-    candidate_hop_counts,
     clockwise_hop_count,
     clockwise_step,
     head_flit_address,
@@ -26,7 +29,7 @@ from circnoc.routing import (
     trace_route,
 )
 from circnoc.topology import CirculantSpec, bfs_distances, build_circulant
-from oracles import ref_ring_profile, ring_s2_values
+from oracles import ref_ring_profile, ref_step_cycles, ring_s2_values
 
 C8 = RouterConfig(8, 1, 3)
 C16 = RouterConfig(16, 1, 7)
@@ -119,6 +122,27 @@ def test_routing_table_one_hop_ports():
         assert table.entries[u][(u - 3) % 8] == 3
         assert table.entries[u][(u + 1) % 8] == 0
         assert table.entries[u][(u - 1) % 8] == 2
+
+
+def test_routing_table_is_one_row_per_network():
+    table = build_routing_table(RouterConfig(2025, 1, 197))
+    assert len(table.ports) == 2025 and table.ports[0] is None
+    assert table.port(7, 3) == table.ports[(3 - 7) % 2025]
+
+
+def test_routing_table_rejects_delivered_packet_without_asserts():
+    # the check must survive python -O, which strips assert statements
+    code = (
+        "from circnoc import RouterConfig, ValidationError, build_routing_table\n"
+        "try:\n"
+        "    build_routing_table(RouterConfig(8, 1, 3)).port(3, 3)\n"
+        "except ValidationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("cfg", [C8, C16, RouterConfig(11, 1, 4), RouterConfig(30, 1, 13)])
@@ -216,6 +240,22 @@ def test_step_cycles_short_hop_prefers_unit_step():
 def test_step_cycles_exact_multiple_takes_long_step():
     assert step_cycles(0, 3, C8, CORRECTED) == 3
     assert step_cycles(0, 3, C8, AS_PRINTED) == 3
+
+
+def test_step_cycles_matches_reference_scan_exhaustively():
+    # every ring circulant up to n = 60, every offset, both variants, and
+    # the default and one extra wrap bound: pins the step the scan picks,
+    # not only the hop count it leads to
+    modes = [AdaptiveMode(v, c) for v in ("printed", "corrected") for c in (2, 3)]
+    mismatches = []
+    for n in range(5, 61):
+        for s2 in ring_s2_values(n):
+            cfg = RouterConfig(n, 1, s2)
+            for mode in modes:
+                for s in range(1, n):
+                    if step_cycles(0, s, cfg, mode) != ref_step_cycles(0, s, cfg, mode):
+                        mismatches.append((n, s2, s, mode))
+    assert mismatches == []
 
 
 def test_step_cycles_requires_ordered_distinct_nodes():
@@ -352,7 +392,7 @@ def test_candidate_enumeration_reaches_bfs_distance():
             bounded = arithmetic_min_hops(offset, cfg, max_wraps=4)
             assert bounded >= exact
     with pytest.raises(ValidationError):
-        candidate_hop_counts(0, C8)
+        arithmetic_min_hops(0, C8)
 
 
 @given(st.integers(min_value=5, max_value=150), st.data())
