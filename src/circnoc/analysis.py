@@ -20,12 +20,13 @@ from .routing import (
     AdaptiveMode,
     RouteTrace,
     RouterConfig,
+    _check_node,
     _scan,
     dataclass_json,
     payload_bits,
     trace_route,
 )
-from .topology import bfs_distances, build_circulant, circulant_distance_profile
+from .topology import circulant_distance_profile
 
 __all__ = [
     "RESOURCES",
@@ -95,11 +96,13 @@ def efficiency_k(
 ) -> EfficiencyReport:
     """Efficiency criterion K = (algorithm hops) / (shortest-path hops).
 
-    Both totals sum routes from ``source`` to every other node; the
-    shortest-path side comes from breadth-first search on the built graph.
+    Both totals sum routes from ``source`` to every other node.  The
+    shortest-path side is the sum of the cached distance profile from node
+    0: circulants are vertex-transitive, so every source has the same
+    distance multiset and the same total.
     """
-    oracle = bfs_distances(build_circulant(cfg.spec), source)
-    hops_oracle = sum(oracle)
+    _check_node(source, cfg.n, "source")
+    hops_oracle = sum(circulant_distance_profile(cfg.n, (cfg.s1, cfg.s2)))
     hops_algorithm = 0
     for dest in range(cfg.n):
         if dest != source:

@@ -2,8 +2,10 @@
 
 Every subcommand is a thin wrapper: it parses flags, calls one library
 operation, prints a human-readable summary, and writes machine artifacts
-only when ``--out`` is given.  Exit codes: 0 success, 1 validation,
-usage or output-file error, 2 internal failure.
+only when ``--out`` is given.  Exit codes: 0 success; 1 validation,
+usage or output-file error, or a route that livelocks (runs out of its hop
+limit, as the printed adaptive variant can); 2 internal failure, and
+``fuzz`` when it finds a livelock.
 """
 
 from __future__ import annotations
@@ -363,10 +365,10 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, LivelockError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LivelockError, DisconnectedGraphError) as exc:
+    except DisconnectedGraphError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -87,11 +87,19 @@ class CirculantSpec:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph as per-node sorted neighbor tuples."""
+    """Immutable undirected graph as per-node sorted neighbor tuples.
+
+    The builders also record the structure that ``metrics`` exploits:
+    ``vertex_transitive`` for circulants and tori, ``mesh_shape`` (rows,
+    cols) for meshes.  A graph constructed directly carries neither, so its
+    metrics come from all-pairs BFS.
+    """
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
     kind: str
+    vertex_transitive: bool = field(default=False, init=False, repr=False, compare=False)
+    mesh_shape: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
@@ -165,7 +173,9 @@ def build_circulant(spec: CirculantSpec) -> Graph:
             near.add((v + s) % n)
             near.add((v - s) % n)
         neighbors.append(tuple(sorted(near)))
-    return Graph(n=n, neighbors=tuple(neighbors), kind="circulant")
+    graph = Graph(n=n, neighbors=tuple(neighbors), kind="circulant")
+    object.__setattr__(graph, "vertex_transitive", True)
+    return graph
 
 
 def build_mesh(rows: int, cols: int) -> Graph:
@@ -188,7 +198,9 @@ def build_mesh(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 near.append((r + 1) * cols + c)
             neighbors.append(tuple(sorted(near)))
-    return Graph(n=n, neighbors=tuple(neighbors), kind="mesh")
+    graph = Graph(n=n, neighbors=tuple(neighbors), kind="mesh")
+    object.__setattr__(graph, "mesh_shape", (rows, cols))
+    return graph
 
 
 def build_torus(rows: int, cols: int) -> Graph:
@@ -209,7 +221,9 @@ def build_torus(rows: int, cols: int) -> Graph:
                 ((r + 1) % rows) * cols + c,
             }
             neighbors.append(tuple(sorted(near)))
-    return Graph(n=n, neighbors=tuple(neighbors), kind="torus")
+    graph = Graph(n=n, neighbors=tuple(neighbors), kind="torus")
+    object.__setattr__(graph, "vertex_transitive", True)
+    return graph
 
 
 def bfs_distances(graph: Graph, src: int) -> list[int]:
@@ -234,13 +248,37 @@ def bfs_distances(graph: Graph, src: int) -> list[int]:
 
 
 def metrics(graph: Graph) -> TopologyMetrics:
-    """Diameter, average distance, edge count, and max degree of a graph."""
-    total = 0
-    diameter = 0
-    for src in range(graph.n):
-        dist = bfs_distances(graph, src)
-        total += sum(dist)
-        diameter = max(diameter, max(dist))
+    """Diameter, average distance, edge count, and max degree of a graph.
+
+    The distance sum over ordered pairs is exact integer arithmetic on
+    every path:
+
+    * a circulant or torus from its builder is vertex-transitive, so every
+      source sees the same distance multiset: one BFS from node 0 gives
+      the diameter, and ``n`` times its sum is the total;
+    * a mesh from ``build_mesh`` uses the closed form: row and column
+      offsets add, and ``sum(|i - j|)`` over ordered pairs of ``0..m-1`` is
+      ``(m**3 - m) / 3``, so the total is
+      ``cols**2 (rows**3 - rows) / 3 + rows**2 (cols**3 - cols) / 3`` and
+      the diameter ``rows + cols - 2``;
+    * any other graph takes one BFS per node, which raises
+      ``DisconnectedGraphError`` when it is not connected.
+    """
+    if graph.mesh_shape is not None:
+        rows, cols = graph.mesh_shape
+        total = (cols * cols * (rows**3 - rows) + rows * rows * (cols**3 - cols)) // 3
+        diameter = rows + cols - 2
+    elif graph.vertex_transitive:
+        dist = bfs_distances(graph, 0)
+        total = graph.n * sum(dist)
+        diameter = max(dist)
+    else:
+        total = 0
+        diameter = 0
+        for src in range(graph.n):
+            dist = bfs_distances(graph, src)
+            total += sum(dist)
+            diameter = max(diameter, max(dist))
     pairs = graph.n * (graph.n - 1)
     return TopologyMetrics(
         diameter=diameter,
@@ -299,6 +337,15 @@ def formula_optimal_circulant(n: int) -> CirculantSpec:
     return CirculantSpec(n, (d - 1, d))
 
 
+def _ring_keys(n: int) -> dict[int, tuple[int, int]]:
+    """(diameter, total distance) of every ring circulant C(n; 1, t).
+
+    Keys are t = 2 .. (n - 1) // 2 in increasing order, each read through
+    the ``circulant_distance_profile`` cache.
+    """
+    return {t: _profile_key(n, 1, t) for t in range(2, (n - 1) // 2 + 1)}
+
+
 def search_best_ring_circulant(n: int) -> CirculantSpec:
     """Best ring circulant C(n; 1, s2) by exhaustive search over s2.
 
@@ -307,14 +354,8 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
     """
     if n < 5:
         raise ValidationError(f"no valid second generatrix for n={n}; need n >= 5")
-    best_key = None
-    best_s2 = 0
-    for s2 in range(2, (n - 1) // 2 + 1):
-        key = _profile_key(n, 1, s2)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_s2 = s2
-    return CirculantSpec(n, (1, best_s2))
+    keys = _ring_keys(n)
+    return CirculantSpec(n, (1, min(keys, key=keys.get)))
 
 
 def search_best_circulant2(n: int) -> CirculantSpec:
@@ -322,17 +363,33 @@ def search_best_circulant2(n: int) -> CirculantSpec:
 
     Same lexicographic criterion as the ring search, over all connected
     pairs 1 <= s1 < s2 < n/2; ties go to the smallest (s1, s2).
+
+    Multiplying every label by a unit ``a`` mod n maps C(n; s1, s2) onto
+    C(n; a s1, a s2) (Adam's multiplier isomorphism), which keeps every
+    distance.  So a pair with a unit generatrix ``g`` has the key of the
+    ring circulant C(n; 1, t), with ``u = other * g**-1 mod n`` and
+    ``t = min(u, n - u)``, which lies in 2 .. (n - 1) // 2 because
+    0 < s1 < s2 < n/2; those keys are computed once per call.  Only pairs
+    in which neither generatrix is a unit run their own BFS.
     """
     if n < 5:
         raise ValidationError(f"no valid generatrix pair for n={n}; need n >= 5")
+    ring = _ring_keys(n)
     best_key = None
     best_pair = (0, 0)
     limit = (n - 1) // 2
     for s1 in range(1, limit):
+        s1_inverse = pow(s1, -1, n) if math.gcd(s1, n) == 1 else None
         for s2 in range(s1 + 1, limit + 1):
-            if math.gcd(n, s1, s2) != 1:
+            if s1_inverse is not None:
+                u = s2 * s1_inverse % n
+            elif math.gcd(s2, n) == 1:
+                u = s1 * pow(s2, -1, n) % n
+            elif math.gcd(n, s1, s2) == 1:
+                u = None
+            else:
                 continue
-            key = _profile_key(n, s1, s2)
+            key = _profile_key(n, s1, s2) if u is None else ring[min(u, n - u)]
             if best_key is None or key < best_key:
                 best_key = key
                 best_pair = (s1, s2)

@@ -37,6 +37,12 @@ def ref_ring_profile(n, s2):
     return dist
 
 
+def ref_pair_profile(n, s1, s2):
+    """BFS distances from node 0 in C(n; s1, s2), built arithmetically."""
+    neighbors = [{(v + s) % n for s in (s1, s2, -s1, -s2)} for v in range(n)]
+    return ref_bfs(neighbors, 0)
+
+
 def ref_metrics(neighbors):
     """(diameter, average distance over ordered pairs) by all-sources BFS."""
     n = len(neighbors)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,13 +77,25 @@ def test_route_trace_and_json(capsys, tmp_path):
     assert payload["ports"] == list(expect.ports)
 
 
-def test_route_hop_limit_exhaustion_is_internal_error(capsys):
+def test_route_hop_limit_exhaustion_exits_one(capsys):
     code, _, err = run(
         capsys, "route", "--algorithm", "clockwise", "--circulant", "16,1,7",
         "--src", "0", "--dst", "6", "--hop-limit", "2",
     )
-    assert code == 2
-    assert "hop limit" in err
+    assert code == 1
+    assert err.startswith("error: clockwise routing exceeded hop limit 2 in C(16; 1, 7)")
+    assert "for pair 0 -> 6" in err
+
+
+def test_printed_adaptive_livelock_in_figure_exits_one(capsys):
+    code, _, err = run(
+        capsys, "figure", "--id", "efficiency", "--values", "100", "--mode", "printed",
+    )
+    assert code == 1
+    assert err == (
+        "error: adaptive routing exceeded hop limit 200 in C(100; 1, 18) "
+        "for pair 0 -> 97\n"
+    )
 
 
 @pytest.mark.parametrize("limit", ["0", "-3"])
@@ -103,6 +117,26 @@ def test_compare_prints_rows_and_writes_csv(capsys, tmp_path):
         ExperimentConfig(figure="topology_metrics", values=(3, 4, 5))
     ).text
     assert path.read_text(encoding="utf-8") == expect
+
+
+PINNED_SHA256 = Path(__file__).resolve().parent.parent / "benchmarks" / "pinned_sha256.json"
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["compare", "--sides", "10..16", "--selection", "best_general"], ("design_search_csv",)),
+        (["figure", "--id", "topology_metrics", "--values", "3..23"], ("figures", "topology_metrics")),
+    ],
+)
+def test_comparison_artifacts_match_pinned_bytes(capsys, tmp_path, argv, key):
+    expected = json.loads(PINNED_SHA256.read_text(encoding="utf-8"))
+    for part in key:
+        expected = expected[part]
+    path = tmp_path / "artifact"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 def test_efficiency_reports_k(capsys):

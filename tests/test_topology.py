@@ -23,7 +23,7 @@ from circnoc.topology import (
     search_best_circulant2,
     search_best_ring_circulant,
 )
-from oracles import ref_bfs, ref_metrics, ref_ring_profile, ring_s2_values
+from oracles import ref_bfs, ref_metrics, ref_pair_profile, ref_ring_profile, ring_s2_values
 
 
 # --- circulant construction ------------------------------------------------
@@ -193,6 +193,85 @@ def test_metrics_match_reference_oracle(graph):
     assert m.diameter == diameter
     assert m.avg_distance == pytest.approx(avg, rel=1e-12)
     assert m.avg_distance <= m.diameter
+
+
+def _ring_circulants(max_n):
+    for n in range(3, max_n + 1):
+        yield CirculantSpec(n, (1,))
+        for s2 in ring_s2_values(n):
+            yield CirculantSpec(n, (1, s2))
+
+
+def _assert_metrics_match_oracle(graph):
+    diameter, avg = ref_metrics(graph.neighbors)
+    m = metrics(graph)
+    assert (m.diameter, m.avg_distance) == (diameter, avg), graph
+
+
+def test_metrics_one_bfs_matches_oracle_for_every_ring_circulant():
+    for spec in _ring_circulants(40):
+        _assert_metrics_match_oracle(build_circulant(spec))
+
+
+def test_metrics_one_bfs_matches_oracle_for_every_torus():
+    for rows in range(3, 9):
+        for cols in range(3, 9):
+            _assert_metrics_match_oracle(build_torus(rows, cols))
+
+
+def test_metrics_closed_form_matches_oracle_for_every_mesh():
+    for rows in range(1, 11):
+        for cols in range(1, 11):
+            if rows * cols >= 2:
+                _assert_metrics_match_oracle(build_mesh(rows, cols))
+
+
+def test_metrics_of_a_hand_built_graph_takes_all_pairs_bfs():
+    # A path built as a plain Graph carries no structure marks.  Its total
+    # distance is 20; one BFS from node 0 times n would give 4 * 6 = 24.
+    path = Graph(n=4, neighbors=((1,), (0, 2), (1, 3), (2,)), kind="mesh")
+    assert not path.vertex_transitive and path.mesh_shape is None
+    assert path == build_mesh(1, 4)
+    m = metrics(path)
+    assert (m.diameter, m.avg_distance) == (3, 20 / 12)
+
+
+def _connected_pairs(n):
+    limit = (n - 1) // 2
+    for s1 in range(1, limit):
+        for s2 in range(s1 + 1, limit + 1):
+            if math.gcd(n, s1, s2) == 1:
+                yield s1, s2
+
+
+def test_multiplier_isomorphism_maps_unit_pairs_onto_rings():
+    # C(n; s1, s2) ~ C(n; 1, t) for a unit generatrix g: multiplying every
+    # label by g**-1 keeps all distances.
+    for n in range(5, 61):
+        ring = {}
+        for s1, s2 in _connected_pairs(n):
+            units = [(g, other) for g, other in ((s1, s2), (s2, s1)) if math.gcd(g, n) == 1]
+            if not units:
+                continue
+            profile = ref_pair_profile(n, s1, s2)
+            for g, other in units:
+                u = other * pow(g, -1, n) % n
+                t = min(u, n - u)
+                if t not in ring:
+                    ring_profile = ref_ring_profile(n, t)
+                    ring[t] = (max(ring_profile), sum(ring_profile))
+                assert (max(profile), sum(profile)) == ring[t], (n, s1, s2)
+
+
+def test_search_best_circulant2_matches_brute_force_oracle():
+    for n in range(5, 51):
+        best = None
+        for s1, s2 in _connected_pairs(n):
+            profile = ref_pair_profile(n, s1, s2)
+            key = (max(profile), sum(profile), s1, s2)
+            if best is None or key < best:
+                best = key
+        assert search_best_circulant2(n).generatrices == best[2:], n
 
 
 def test_circulant_profile_matches_graph_bfs():
