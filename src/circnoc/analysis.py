@@ -115,17 +115,15 @@ def efficiency_k(
     )
 
 
-def route_cycle_count(trace: RouteTrace, n: int | None = None) -> int:
+def route_cycle_count(trace: RouteTrace) -> int:
     """Full ring wraps of a route's net signed displacement.
 
     Sums the signed generatrix steps along the trace and counts how many
     times the total crosses the ring size.
     """
-    if n is None:
-        n = trace.n
     steps = (trace.s1, trace.s2, -trace.s1, -trace.s2)
     total = sum(steps[port] for port in trace.ports)
-    return abs(total) // n
+    return abs(total) // trace.n
 
 
 def cycle_report(cfg: RouterConfig) -> CycleReport:

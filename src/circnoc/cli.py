@@ -3,9 +3,9 @@
 Every subcommand is a thin wrapper: it parses flags, calls one library
 operation, prints a human-readable summary, and writes machine artifacts
 only when ``--out`` is given.  Exit codes: 0 success; 1 validation,
-usage or output-file error, or a route that livelocks (runs out of its hop
-limit, as the printed adaptive variant can); 2 internal failure, and
-``fuzz`` when it finds a livelock.
+usage or output-file error, or a route that livelocks (revisits a node, as
+the printed adaptive variant can; the error names the cycle); 2 internal
+failure, and ``fuzz`` when it finds a livelock.
 """
 
 from __future__ import annotations
@@ -126,9 +126,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_route(args) -> int:
     cfg = _router_cfg(args)
-    trace = routing.trace_route(
-        args.algorithm, args.src, args.dst, cfg, _mode_from(args), args.hop_limit
-    )
+    trace = routing.trace_route(args.algorithm, args.src, args.dst, cfg, _mode_from(args))
     cycles = analysis.route_cycle_count(trace)
     path = " -> ".join(map(str, trace.nodes))
     print(f"{args.algorithm} route in {cfg}: {path}")
@@ -248,7 +246,6 @@ def _cmd_fuzz(args) -> int:
         trials=args.trials,
         n_min=args.n_min,
         n_max=args.n_max,
-        hop_limit_factor=args.hop_limit_factor,
     )
     report = harness.fuzz_termination(config)
     print(f"trials = {report.trials}, livelocks = {report.livelock_count}")
@@ -293,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circulant", required=True, help="ring circulant as N,1,s2")
     p.add_argument("--src", type=int, required=True)
     p.add_argument("--dst", type=int, required=True)
-    p.add_argument("--hop-limit", type=int, default=None, dest="hop_limit")
     p.add_argument("--out", help="trace JSON path")
     _add_mode_flags(p)
     p.set_defaults(func=_cmd_route)
@@ -350,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--n-min", type=int, default=5, dest="n_min")
     p.add_argument("--n-max", type=int, default=300, dest="n_max")
-    p.add_argument("--hop-limit-factor", type=int, default=2, dest="hop_limit_factor")
     p.add_argument("--out", help="report JSON path")
     p.set_defaults(func=_cmd_fuzz)
 

@@ -14,4 +14,8 @@ class DisconnectedGraphError(RuntimeError):
 
 
 class LivelockError(RuntimeError):
-    """A route failed to reach its destination within the hop budget."""
+    """A deterministic route revisited a node, so it never arrives."""
+
+    def __init__(self, message: str, cycle: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.cycle = cycle

@@ -283,25 +283,30 @@ def table_next_hop(table: RoutingTable, current: int, dest: int) -> tuple[int, i
     return nxt, port
 
 
-def clockwise_step(current: int, dest: int, cfg: RouterConfig) -> int:
-    """One hop of clockwise routing; returns the next node (or current at dest).
+def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:
+    """Clockwise routing rule: the signed step from current toward dest != current.
 
     The label difference S = (dest - current) mod n picks the direction:
     forward while S <= n/2, backward otherwise, using the long generatrix
     whenever the residual difference still covers it.
     """
     n = cfg.n
-    _check_node(current, n, "current")
-    _check_node(dest, n, "dest")
     s = (dest - current) % n
-    if s == 0:
-        return current
     if 2 * s <= n:
         step = cfg.s2 if s >= cfg.s2 else cfg.s1
     else:
         back = n - s
         step = -cfg.s2 if back >= cfg.s2 else -cfg.s1
-    return (current + step) % n
+    return step
+
+
+def clockwise_step(current: int, dest: int, cfg: RouterConfig) -> int:
+    """One hop of clockwise routing; returns the next node (or current at dest)."""
+    _check_node(current, cfg.n, "current")
+    _check_node(dest, cfg.n, "dest")
+    if current == dest:
+        return current
+    return (current + _clockwise_delta(current, dest, cfg)) % cfg.n
 
 
 def clockwise_hop_count(src: int, dst: int, cfg: RouterConfig) -> int:
@@ -338,16 +343,17 @@ def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int
 
     Follows the scan order of the hardware description: the unwrapped pair
     first (a winning remainder route starts with the unit generatrix),
-    then both forms for each extra ring wrap m = 1..max_wraps, replacing
-    the best only on strict improvement.  With ``max_wraps=None`` wraps
-    extend until ``(base + m*n) // s2`` exceeds the best, since no
-    candidate of wrap m is shorter than that; the result is then exact.
-    Returns (hops, wraps, unit step first).
+    then both forms for each extra ring wrap m = 1, 2, ..., replacing the
+    best only on strict improvement.  Wraps stop after ``max_wraps`` (no
+    bound when None) or once ``q = (base + m*n) // s2`` exceeds the best,
+    whichever comes first: both forms of wrap m take at least q hops, and
+    q grows with m, so no later wrap can improve.  Without a bound the
+    result is exact.  Returns (hops, wraps, unit step first).
     """
     first, second = candidate_form_hops(base, s2)
     unit = first < second and base % s2 > 0
     best, wraps, m = first if first < second else second, 0, 1
-    while (m <= max_wraps) if max_wraps is not None else ((base + m * n) // s2 <= best):
+    while (max_wraps is None or m <= max_wraps) and (base + m * n) // s2 <= best:
         first, second = candidate_form_hops(base + m * n, s2)
         if first < best:
             best, wraps, unit = first, m, False
@@ -370,58 +376,46 @@ def arithmetic_min_hops(offset: int, cfg: RouterConfig, max_wraps: int | None = 
     return min(_scan(base, n, cfg.s2, max_wraps)[0] for base in (offset, n - offset))
 
 
-def step_cycles(start: int, end: int, cfg: RouterConfig, mode: AdaptiveMode = CORRECTED) -> int:
-    """Signed step chosen by the adaptive candidate scan, for start < end.
+def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
+    """Adaptive routing rule: the signed step from current toward dest != current.
 
-    Clockwise candidates grow from S = end - start, counter-clockwise ones
-    from n - S (or S + n in printed mode), each extended by full wraps up
-    to ``mode.max_cycles``.  A clockwise win returns +s1/+s2, otherwise
-    the step is negative; ties go counter-clockwise.
+    The scan runs on the positive label difference S = |dest - current|:
+    clockwise candidates grow from S, counter-clockwise ones from n - S
+    (or S + n in printed mode), each extended by full wraps up to
+    ``mode.max_cycles``.  A clockwise win gives +s1/+s2, otherwise the
+    step is negative; ties go counter-clockwise.  The sign is mirrored
+    when dest lies below current.
     """
-    n = cfg.n
-    _check_node(start, n, "start")
-    _check_node(end, n, "end")
+    n, s2 = cfg.n, cfg.s2
+    s = abs(dest - current)
+    best_right, _, unit_right = _scan(s, n, s2, mode.max_cycles)
+    left_base = s + n if mode.variant == "printed" else n - s
+    best_left, _, unit_left = _scan(left_base, n, s2, mode.max_cycles)
+    if best_right < best_left:
+        step = cfg.s1 if unit_right else s2
+    else:
+        step = -(cfg.s1 if unit_left else s2)
+    return step if current < dest else -step
+
+
+def step_cycles(start: int, end: int, cfg: RouterConfig, mode: AdaptiveMode = CORRECTED) -> int:
+    """Signed step chosen by the adaptive candidate scan, for start < end."""
+    _check_node(start, cfg.n, "start")
+    _check_node(end, cfg.n, "end")
     if start == end:
         raise ValidationError(f"start and end coincide at node {start}")
     if start > end:
         raise ValidationError(f"expects start < end, got {start} > {end}")
-    s = end - start
-    best_right, _, unit_right = _scan(s, n, cfg.s2, mode.max_cycles)
-    left_base = s + n if mode.variant == "printed" else n - s
-    best_left, _, unit_left = _scan(left_base, n, cfg.s2, mode.max_cycles)
-    if best_right < best_left:
-        return cfg.s1 if unit_right else cfg.s2
-    return -(cfg.s1 if unit_left else cfg.s2)
+    return _adaptive_delta(start, end, cfg, mode)
 
 
 def adaptive_step(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMode = CORRECTED) -> int:
-    """One hop of adaptive routing; returns the next node (or current at dest).
-
-    The pair is ordered so the candidate scan works on a positive label
-    difference; when the roles are swapped the returned step is applied
-    with mirrored sign, then wrapped into [0, n).
-    """
-    n = cfg.n
-    _check_node(current, n, "current")
-    _check_node(dest, n, "dest")
+    """One hop of adaptive routing; returns the next node (or current at dest)."""
+    _check_node(current, cfg.n, "current")
+    _check_node(dest, cfg.n, "dest")
     if current == dest:
         return current
-    if current > dest:
-        return (current - step_cycles(dest, current, cfg, mode)) % n
-    return (current + step_cycles(current, dest, cfg, mode)) % n
-
-
-def _signed_delta(current: int, nxt: int, cfg: RouterConfig) -> int:
-    ahead = (nxt - current) % cfg.n
-    if ahead == cfg.s1:
-        return cfg.s1
-    if ahead == cfg.s2:
-        return cfg.s2
-    if ahead == cfg.n - cfg.s1:
-        return -cfg.s1
-    if ahead == cfg.n - cfg.s2:
-        return -cfg.s2
-    raise AssertionError(f"{current} -> {nxt} is not a generatrix step")  # pragma: no cover
+    return (current + _adaptive_delta(current, dest, cfg, mode)) % cfg.n
 
 
 def trace_route(
@@ -430,55 +424,61 @@ def trace_route(
     dst: int,
     cfg: RouterConfig,
     mode: AdaptiveMode = CORRECTED,
-    hop_limit: int | None = None,
 ) -> RouteTrace:
     """Trace a packet from src to dst, recording nodes and ports per hop.
 
-    ``hop_limit`` (default 2n, at least 1) is a livelock tripwire;
-    exceeding it raises ``LivelockError`` naming the algorithm, topology,
-    and pair.
+    Every router picks its next hop from (current, dest) alone, so a walk
+    that revisits a node repeats forever.  A walk of n - 1 hops that has
+    not arrived has visited n nodes other than dst, so by pigeonhole it
+    has revisited one; the trace then raises ``LivelockError`` naming the
+    algorithm, topology, pair and cycle.
     """
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     n = cfg.n
     _check_node(src, n, "src")
     _check_node(dst, n, "dst")
-    if hop_limit is None:
-        hop_limit = 2 * n
-    elif hop_limit < 1:
-        raise ValidationError(f"hop limit must be >= 1, got {hop_limit}")
 
+    steps = cfg.port_steps()
     if algorithm == "table":
         profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
-        steps = cfg.port_steps()
 
-        def step_fn(cur: int) -> int:
-            port = _shortest_port(profile, steps, (dst - cur) % n, n)
-            return (cur + steps[port]) % n
+        def delta(cur: int) -> int:
+            return steps[_shortest_port(profile, steps, (dst - cur) % n, n)]
 
     elif algorithm == "clockwise":
 
-        def step_fn(cur: int) -> int:
-            return clockwise_step(cur, dst, cfg)
+        def delta(cur: int) -> int:
+            return _clockwise_delta(cur, dst, cfg)
 
     else:
 
-        def step_fn(cur: int) -> int:
-            return adaptive_step(cur, dst, cfg, mode)
+        def delta(cur: int) -> int:
+            return _adaptive_delta(cur, dst, cfg, mode)
 
+    port_of = {step: port for port, step in enumerate(steps)}
     nodes = [src]
     ports = []
     current = src
-    while current != dst:
-        if len(ports) >= hop_limit:
-            raise LivelockError(
-                f"{algorithm} routing exceeded hop limit {hop_limit} in {cfg} "
-                f"for pair {src} -> {dst}"
-            )
-        nxt = step_fn(current)
-        ports.append(port_for_step(_signed_delta(current, nxt, cfg), cfg))
-        nodes.append(nxt)
-        current = nxt
+    for _ in range(n - 1):
+        if current == dst:
+            break
+        step = delta(current)
+        ports.append(port_of[step])
+        current = (current + step) % n
+        nodes.append(current)
+    if current != dst:
+        seen: dict[int, int] = {}
+        for index, node in enumerate(nodes):
+            if node in seen:
+                break
+            seen[node] = index
+        cycle = tuple(nodes[seen[node]:index + 1])
+        raise LivelockError(
+            f"{algorithm} routing livelocks in {cfg} for pair {src} -> {dst}: "
+            f"cycle {' -> '.join(map(str, cycle))}",
+            cycle,
+        )
     return RouteTrace(
         algorithm=algorithm,
         n=n,

@@ -346,11 +346,13 @@ def _ring_keys(n: int) -> dict[int, tuple[int, int]]:
     return {t: _profile_key(n, 1, t) for t in range(2, (n - 1) // 2 + 1)}
 
 
+@lru_cache(maxsize=None)
 def search_best_ring_circulant(n: int) -> CirculantSpec:
     """Best ring circulant C(n; 1, s2) by exhaustive search over s2.
 
     Minimizes (diameter, average distance) lexicographically over
-    s2 in [2, ceil(n/2) - 1]; ties go to the smallest s2.
+    s2 in [2, ceil(n/2) - 1]; ties go to the smallest s2.  The result
+    depends on n alone, so each n is searched once per process.
     """
     if n < 5:
         raise ValidationError(f"no valid second generatrix for n={n}; need n >= 5")

@@ -2,10 +2,14 @@
 
 Everything here is deliberately written from scratch (plain BFS and
 brute-force dynamic programming) so package results are checked against
-a second, unrelated code path.
+a second, unrelated code path.  ``ref_adaptive_walk`` reuses the
+package's per-hop ``adaptive_step`` on purpose: it checks how routes are
+followed and stopped, not how each step is chosen.
 """
 
 from collections import deque
+
+from circnoc.routing import adaptive_step
 
 
 def ref_bfs(neighbors, src):
@@ -117,3 +121,18 @@ def ref_step_cycles(start, end, cfg, mode):
     if best_right < best_left:
         return cfg.s1 if unit_right else cfg.s2
     return -(cfg.s1 if unit_left else cfg.s2)
+
+
+def ref_adaptive_walk(u, v, cfg, mode):
+    """Follow ``adaptive_step`` from u toward v, remembering every node.
+
+    Returns ("path", nodes) on arrival, or ("cycle", nodes) from the first
+    node visited twice back to it, as soon as the walk revisits a node.
+    """
+    visited = [u]
+    while visited[-1] != v:
+        nxt = adaptive_step(visited[-1], v, cfg, mode)
+        if nxt in visited:
+            return "cycle", tuple(visited[visited.index(nxt):]) + (nxt,)
+        visited.append(nxt)
+    return "path", tuple(visited)

@@ -81,7 +81,6 @@ def test_route_cycle_count_two_wrap_route():
     trace = trace_route("adaptive", 0, 37, C100)
     assert trace.hops == 7
     assert route_cycle_count(trace) == 2
-    assert route_cycle_count(trace, 100) == 2
 
 
 def test_route_cycle_count_neighbor_is_zero():

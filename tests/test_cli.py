@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -77,14 +78,16 @@ def test_route_trace_and_json(capsys, tmp_path):
     assert payload["ports"] == list(expect.ports)
 
 
-def test_route_hop_limit_exhaustion_exits_one(capsys):
-    code, _, err = run(
-        capsys, "route", "--algorithm", "clockwise", "--circulant", "16,1,7",
-        "--src", "0", "--dst", "6", "--hop-limit", "2",
+def test_route_with_huge_wrap_bound_stops_scanning(capsys):
+    # the scan stops once no further wrap can improve, whatever the bound
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "route", "--algorithm", "adaptive", "--circulant", "100,1,44",
+        "--src", "0", "--dst", "37", "--max-cycles", "100000000",
     )
-    assert code == 1
-    assert err.startswith("error: clockwise routing exceeded hop limit 2 in C(16; 1, 7)")
-    assert "for pair 0 -> 6" in err
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert "0 -> 56 -> 12 -> 68 -> 24 -> 80 -> 36 -> 37" in out
 
 
 def test_printed_adaptive_livelock_in_figure_exits_one(capsys):
@@ -93,19 +96,22 @@ def test_printed_adaptive_livelock_in_figure_exits_one(capsys):
     )
     assert code == 1
     assert err == (
-        "error: adaptive routing exceeded hop limit 200 in C(100; 1, 18) "
-        "for pair 0 -> 97\n"
+        "error: adaptive routing livelocks in C(100; 1, 18) "
+        "for pair 0 -> 97: cycle 0 -> 82 -> 0\n"
     )
 
 
-@pytest.mark.parametrize("limit", ["0", "-3"])
-def test_route_hop_limit_below_one_exits_one(capsys, limit):
+def test_removed_route_limit_flags_exit_one(capsys):
+    # livelocks are proven within n - 1 hops, so no hop limit is accepted
     code, _, err = run(
         capsys, "route", "--algorithm", "clockwise", "--circulant", "16,1,7",
-        "--src", "0", "--dst", "6", "--hop-limit", limit,
+        "--src", "0", "--dst", "6", "--hop-limit", "3",
     )
     assert code == 1
-    assert "error: hop limit must be >= 1" in err
+    assert "unrecognized arguments: --hop-limit 3" in err
+    code, _, err = run(capsys, "fuzz", "--seed", "1", "--hop-limit-factor", "2")
+    assert code == 1
+    assert "unrecognized arguments: --hop-limit-factor 2" in err
 
 
 def test_compare_prints_rows_and_writes_csv(capsys, tmp_path):

@@ -197,5 +197,3 @@ def test_fuzz_config_validation():
         FuzzConfig(seed=1, n_min=4)
     with pytest.raises(ValidationError):
         FuzzConfig(seed=1, n_min=50, n_max=20)
-    with pytest.raises(ValidationError):
-        FuzzConfig(seed=1, hop_limit_factor=0)

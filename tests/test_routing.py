@@ -29,7 +29,7 @@ from circnoc.routing import (
     trace_route,
 )
 from circnoc.topology import CirculantSpec, bfs_distances, build_circulant
-from oracles import ref_ring_profile, ref_step_cycles, ring_s2_values
+from oracles import ref_adaptive_walk, ref_ring_profile, ref_step_cycles, ring_s2_values
 
 C8 = RouterConfig(8, 1, 3)
 C16 = RouterConfig(16, 1, 7)
@@ -351,11 +351,40 @@ def test_trace_table_agrees_with_routing_table():
             node, _ = table_next_hop(table, node, dst)
 
 
-def test_trace_hop_limit_livelock_error():
+def test_trace_livelock_error_names_cycle():
+    # the printed seed bounces between 0 and 82 and never reaches 97
     with pytest.raises(LivelockError) as exc:
-        trace_route("clockwise", 0, 6, C16, hop_limit=3)
-    message = str(exc.value)
-    assert "clockwise" in message and "0 -> 6" in message and "C(16; 1, 7)" in message
+        trace_route("adaptive", 0, 97, RouterConfig(100, 1, 18), AS_PRINTED)
+    assert str(exc.value) == (
+        "adaptive routing livelocks in C(100; 1, 18) for pair 0 -> 97: cycle 0 -> 82 -> 0"
+    )
+    assert exc.value.cycle == (0, 82, 0)
+
+
+def test_trace_livelock_bound_is_exact():
+    # a route is cut after n - 1 hops; the oracle walks with no bound and
+    # stops at the first revisited node, so both must agree on every pair
+    traces = livelocks = 0
+    for n in range(5, 25):
+        for s2 in ring_s2_values(n):
+            cfg = RouterConfig(n, 1, s2)
+            for mode in (AS_PRINTED, CORRECTED):
+                for u in range(n):
+                    for v in range(n):
+                        if u == v:
+                            continue
+                        traces += 1
+                        kind, nodes = ref_adaptive_walk(u, v, cfg, mode)
+                        if kind == "cycle":
+                            livelocks += 1
+                            assert mode.variant == "printed", (n, s2, u, v)
+                            with pytest.raises(LivelockError) as exc:
+                                trace_route("adaptive", u, v, cfg, mode)
+                            assert exc.value.cycle == nodes, (n, s2, u, v)
+                        else:
+                            assert trace_route("adaptive", u, v, cfg, mode).nodes == nodes
+    # characterization: the printed variant's livelocks over this range
+    assert (traces, livelocks) == (68_860, 750)
 
 
 def test_trace_json_shape():
