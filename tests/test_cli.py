@@ -101,14 +101,34 @@ def test_printed_adaptive_livelock_in_figure_exits_one(capsys):
     )
 
 
-def test_removed_route_limit_flags_exit_one(capsys):
-    # livelocks are proven within n - 1 hops, so no hop limit is accepted
+def test_route_hop_limit_exhaustion_exits_one(capsys):
+    # livelocks are proven within n - 1 hops, so route takes no hop limit;
+    # the 6-hop route that a limit of 2 once cut short is routed in full
+    code, out, _ = run(
+        capsys, "route", "--algorithm", "clockwise", "--circulant", "16,1,7",
+        "--src", "0", "--dst", "6",
+    )
+    assert code == 0
+    assert "0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 6" in out
     code, _, err = run(
         capsys, "route", "--algorithm", "clockwise", "--circulant", "16,1,7",
-        "--src", "0", "--dst", "6", "--hop-limit", "3",
+        "--src", "0", "--dst", "6", "--hop-limit", "2",
     )
     assert code == 1
-    assert "unrecognized arguments: --hop-limit 3" in err
+    assert "unrecognized arguments: --hop-limit 2" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_route_hop_limit_below_one_exits_one(capsys, limit):
+    code, _, err = run(
+        capsys, "route", "--algorithm", "clockwise", "--circulant", "16,1,7",
+        "--src", "0", "--dst", "6", "--hop-limit", limit,
+    )
+    assert code == 1
+    assert f"unrecognized arguments: --hop-limit {limit}" in err
+
+
+def test_removed_fuzz_limit_flag_exits_one(capsys):
     code, _, err = run(capsys, "fuzz", "--seed", "1", "--hop-limit-factor", "2")
     assert code == 1
     assert "unrecognized arguments: --hop-limit-factor 2" in err
