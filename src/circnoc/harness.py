@@ -61,8 +61,8 @@ class ExperimentConfig:
     """One dataset regeneration request.
 
     ``values`` are sides for ``topology_metrics``, network sizes for
-    ``cycles``/``efficiency``/``memory``, router counts for ``resources``,
-    and unused for ``capacity``.  Figures that route packets require the
+    ``cycles``/``efficiency``/``memory``, router counts for ``resources``;
+    ``capacity`` takes none.  Figures that route packets require the
     ``best_ring`` selection rule, since the other rules may pick
     circulants without the unit generatrix.
     """
@@ -78,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.figure not in FIGURES:
             raise ValidationError(f"unknown figure {self.figure!r}; expected one of {FIGURES}")
+        if self.figure == "capacity" and self.values:
+            raise ValidationError("figure 'capacity' takes no values")
         if self.figure != "capacity" and not self.values:
             raise ValidationError(f"figure {self.figure!r} needs a non-empty value range")
         if self.selection not in SELECTION_RULES:

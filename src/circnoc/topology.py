@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import DisconnectedGraphError, ValidationError
@@ -314,12 +315,6 @@ def circulant_distance_profile(n: int, generatrices: tuple[int, ...]) -> tuple[i
     return tuple(dist)
 
 
-def _profile_key(n: int, s1: int, s2: int) -> tuple[int, int]:
-    """(diameter, total distance) of C(n; s1, s2); exact integers for ranking."""
-    profile = circulant_distance_profile(n, (s1, s2))
-    return max(profile), sum(profile)
-
-
 def formula_optimal_circulant(n: int) -> CirculantSpec:
     """Two-generatrix circulant C(n; d-1, d) with d = round(sqrt(n/2)).
 
@@ -337,27 +332,66 @@ def formula_optimal_circulant(n: int) -> CirculantSpec:
     return CirculantSpec(n, (d - 1, d))
 
 
-def _ring_keys(n: int) -> dict[int, tuple[int, int]]:
-    """(diameter, total distance) of every ring circulant C(n; 1, t).
+def _ring_key(n: int, t: int, bound: int) -> tuple[int, int]:
+    """(diameter, total distance) of C(n; 1, t) from its tents, without a BFS.
 
-    Keys are t = 2 .. (n - 1) // 2 in increasing order, each read through
-    the ``circulant_distance_profile`` cache.
+    A shortest route to offset k takes some net number j of t-steps and
+    then ring steps, so ``d(k) = min over j of |j| + ringdist(k - j t)``:
+    the profile is the lower envelope of slope-1 tents on the n-cycle, tent
+    j with its apex at ``j t mod n`` and height ``|j|``.  Only the tents
+    with ``|j| <= bound`` are laid.  The result is exact when the diameter
+    is at most ``bound``, because the best j of every k then has
+    ``|j| <= d(k) <= bound``; otherwise the envelope lies above the profile
+    and its diameter exceeds ``bound``.
+
+    Cut the cycle at 0 and list the apexes in order, with the apex 0
+    (height 0) at both ends.  The envelope height ``h`` at each apex is a
+    prefix minimum of ``height - position`` plus the position, or a suffix
+    minimum of ``height + position`` minus it; a route through the cut is
+    never shorter than the tent at 0.  Between neighbouring apexes g apart
+    the envelope is ``min(h1 + e, h2 + g - e)`` for ``e = 0 .. g``.  With
+    ``s = h1 + h2 + g`` its peak is ``s // 2`` and its values sum to
+    ``s * s // 4 - h1 (h1 - 1) / 2 - h2 (h2 - 1) / 2``.  Each inner apex
+    ends one gap and starts the next, so counting it once gives the total
+    ``sum(s * s // 4) - sum(h * h)``.
     """
-    return {t: _profile_key(n, 1, t) for t in range(2, (n - 1) // 2 + 1)}
+    heights = {p: j for j in range(bound, -1, -1) for p in (j * t % n, -j * t % n)}
+    heights[n] = 0
+    apexes = sorted(heights)
+    left = accumulate([heights[a] - a for a in apexes], min)
+    right = list(accumulate([heights[a] + a for a in reversed(apexes)], min))[::-1]
+    h = [min(lo + a, hi - a) for lo, hi, a in zip(left, right, apexes)]
+    spans = [h1 + h2 + b - a for h1, h2, a, b in zip(h, h[1:], apexes, apexes[1:])]
+    return max(spans) // 2, sum(s * s // 4 for s in spans) - sum(x * x for x in h)
 
 
 @lru_cache(maxsize=None)
+def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
+    """Second generatrix and (diameter, total distance) of the best C(n; 1, t)."""
+    best_t, best_key = 0, (n // 2 + 1, 0)
+    for t in range(2, (n - 1) // 2 + 1):
+        key = _ring_key(n, t, best_key[0])
+        if key < best_key:
+            best_t, best_key = t, key
+    return best_t, best_key
+
+
 def search_best_ring_circulant(n: int) -> CirculantSpec:
-    """Best ring circulant C(n; 1, s2) by exhaustive search over s2.
+    """Best ring circulant C(n; 1, s2), ranked without a BFS.
 
     Minimizes (diameter, average distance) lexicographically over
-    s2 in [2, ceil(n/2) - 1]; ties go to the smallest s2.  The result
-    depends on n alone, so each n is searched once per process.
+    s2 in [2, ceil(n/2) - 1]; ties go to the smallest s2.  Each candidate's
+    key is the lower envelope of its tents (``_ring_key``) laid up to the
+    best diameter found so far.  That bound starts at n // 2 + 1, one above
+    the bare ring's diameter.  A candidate within the bound gets its exact
+    key; one beyond it gets a diameter above the bound, so it loses to the
+    best as it should.  The walk goes over s2 in increasing order and
+    replaces the best only on a strict improvement.  The result depends on
+    n alone, so each n is searched once per process.
     """
     if n < 5:
         raise ValidationError(f"no valid second generatrix for n={n}; need n >= 5")
-    keys = _ring_keys(n)
-    return CirculantSpec(n, (1, min(keys, key=keys.get)))
+    return CirculantSpec(n, (1, _best_ring(n)[0]))
 
 
 def search_best_circulant2(n: int) -> CirculantSpec:
@@ -371,28 +405,27 @@ def search_best_circulant2(n: int) -> CirculantSpec:
     distance.  So a pair with a unit generatrix ``g`` has the key of the
     ring circulant C(n; 1, t), with ``u = other * g**-1 mod n`` and
     ``t = min(u, n - u)``, which lies in 2 .. (n - 1) // 2 because
-    0 < s1 < s2 < n/2; those keys are computed once per call.  Only pairs
-    in which neither generatrix is a unit run their own BFS.
+    0 < s1 < s2 < n/2.  The row s1 = 1 comes first in the scan and
+    holds every ring key, so the search starts from the ring winner and
+    its key.  A later pair with a unit generatrix repeats one of those
+    keys, which is never strictly below the ring winner's, so it cannot
+    win.  Only the pairs in which neither generatrix is a unit are scanned,
+    each by a BFS.
     """
     if n < 5:
         raise ValidationError(f"no valid generatrix pair for n={n}; need n >= 5")
-    ring = _ring_keys(n)
-    best_key = None
-    best_pair = (0, 0)
+    t, best_key = _best_ring(n)
+    best_pair = (1, t)
     limit = (n - 1) // 2
-    for s1 in range(1, limit):
-        s1_inverse = pow(s1, -1, n) if math.gcd(s1, n) == 1 else None
+    for s1 in range(2, limit):
+        if math.gcd(s1, n) == 1:
+            continue
         for s2 in range(s1 + 1, limit + 1):
-            if s1_inverse is not None:
-                u = s2 * s1_inverse % n
-            elif math.gcd(s2, n) == 1:
-                u = s1 * pow(s2, -1, n) % n
-            elif math.gcd(n, s1, s2) == 1:
-                u = None
-            else:
+            if math.gcd(s2, n) == 1 or math.gcd(n, s1, s2) != 1:
                 continue
-            key = _profile_key(n, s1, s2) if u is None else ring[min(u, n - u)]
-            if best_key is None or key < best_key:
+            profile = circulant_distance_profile(n, (s1, s2))
+            key = (max(profile), sum(profile))
+            if key < best_key:
                 best_key = key
                 best_pair = (s1, s2)
     return CirculantSpec(n, best_pair)

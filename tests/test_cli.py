@@ -261,6 +261,13 @@ def test_invalid_circulant_exits_one(capsys):
     assert "error:" in err
 
 
+def test_capacity_figure_with_values_exits_one(capsys):
+    code, out, err = run(capsys, "figure", "--id", "capacity", "--values", "5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: figure 'capacity' takes no values\n"
+
+
 def test_invalid_grid_exits_one(capsys):
     code, _, err = run(capsys, "topo", "--mesh", "3by3")
     assert code == 1

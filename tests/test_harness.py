@@ -53,6 +53,11 @@ def test_config_capacity_is_json_only():
         ExperimentConfig(figure="capacity", out_format="csv")
 
 
+def test_config_capacity_takes_no_values():
+    with pytest.raises(ValidationError, match="takes no values"):
+        ExperimentConfig(figure="capacity", values=(5,), out_format="json")
+
+
 def test_config_rejects_unknown_algorithm():
     with pytest.raises(ValidationError):
         ExperimentConfig(figure="resources", values=(10,), algorithms=("table", "zigzag"))

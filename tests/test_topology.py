@@ -23,6 +23,7 @@ from circnoc.topology import (
     search_best_circulant2,
     search_best_ring_circulant,
 )
+from circnoc.topology import _ring_key
 from oracles import ref_bfs, ref_metrics, ref_pair_profile, ref_ring_profile, ring_s2_values
 
 
@@ -380,8 +381,49 @@ def test_search_best_ring_n9_against_exhaustive_oracle():
 
 
 def test_search_best_ring_matches_oracle_sweep():
-    for n in range(5, 64):
+    for n in range(5, 151):
         assert search_best_ring_circulant(n).generatrices == (1, _exhaustive_ring_winner(n)), n
+
+
+def test_search_best_ring_picks_the_route_traffic_topologies():
+    assert search_best_ring_circulant(1024).generatrices == (1, 90)
+    assert search_best_ring_circulant(2025).generatrices == (1, 197)
+
+
+def test_ring_key_envelope_matches_bfs_for_every_ring_circulant():
+    for n in range(5, 121):
+        for t in ring_s2_values(n):
+            profile = ref_ring_profile(n, t)
+            assert _ring_key(n, t, n) == (max(profile), sum(profile)), (n, t)
+
+
+def test_ring_key_below_the_diameter_reports_a_diameter_above_the_bound():
+    # The ring search prunes on this: a candidate whose true diameter
+    # exceeds the best so far must not look as good as the best.
+    for n in range(5, 121):
+        for t in ring_s2_values(n):
+            diameter = max(ref_ring_profile(n, t))
+            for bound in range(diameter):
+                assert _ring_key(n, t, bound)[0] > bound, (n, t, bound)
+
+
+def _moore_bound_holds(spec):
+    # A 4-regular circulant reaches at most 4d nodes at distance d, so
+    # n <= 1 + sum(4d for d in 1..D) = 2 D**2 + 2 D + 1 (Boesch & Wang).
+    diameter = max(ref_pair_profile(spec.n, *spec.generatrices))
+    return spec.n <= 2 * diameter * diameter + 2 * diameter + 1
+
+
+def test_best_circulants_respect_the_moore_bound():
+    for n in range(5, 201):
+        assert _moore_bound_holds(search_best_ring_circulant(n)), n
+        assert _moore_bound_holds(search_best_circulant2(n)), n
+    # The route_traffic sizes.  At n = 2025 the general search spends about
+    # 40 s in BFS over the pairs without a unit generatrix, so only the ring
+    # winner is checked there.
+    assert _moore_bound_holds(search_best_ring_circulant(1024))
+    assert _moore_bound_holds(search_best_circulant2(1024))
+    assert _moore_bound_holds(search_best_ring_circulant(2025))
 
 
 def test_search_best_ring_deterministic():
