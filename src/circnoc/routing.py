@@ -102,6 +102,12 @@ class AdaptiveMode:
     ``max_cycles`` bounds how many full ring wraps the candidate scan
     considers in each direction; circulants with a large generatrix can
     need well past the default of 2 before every route is shortest.
+
+    Under ``corrected``, with any ``max_cycles``, every hop lowers the
+    router's scan value V(u, v) (see ``_adaptive_delta``) by at least one,
+    so a route from u to v takes at most V(u, v) hops and never livelocks.
+    The ``printed`` seed S + n is no real counter-clockwise displacement,
+    and its hops can leave V where it was.
     """
 
     variant: str = "corrected"
@@ -385,6 +391,14 @@ def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMo
     ``mode.max_cycles``.  A clockwise win gives +s1/+s2, otherwise the
     step is negative; ties go counter-clockwise.  The sign is mirrored
     when dest lies below current.
+
+    Lemma (corrected variant, any ``max_cycles``): let V(u, v) be the
+    smaller of the two scan values, with V(v, v) = 0.  Then every hop has
+    V(next, v) <= V(u, v) - 1.  The step is the first hop of a candidate
+    route that achieves V.  What remains of that route is a candidate of
+    the next node with no more wraps: the same form with one long or one
+    unit step fewer, or, after an overshoot without a wrap, the unit-step
+    form of the other direction.  The next scan finds it or a better one.
     """
     n, s2 = cfg.n, cfg.s2
     s = abs(dest - current)

@@ -294,7 +294,9 @@ def circulant_distance_profile(n: int, generatrices: tuple[int, ...]) -> tuple[i
     """Hop distances from node 0 to every node of C(n; generatrices).
 
     Circulants are vertex-transitive: d(u, v) == profile[(v - u) mod n],
-    so one profile answers every all-pairs question.
+    so one profile answers every all-pairs question.  Routing tables and
+    the analysis fill this cache; the topology searches rank candidates
+    by their tent envelopes and never read it.
     """
     CirculantSpec(n, generatrices)
     steps = []
@@ -332,37 +334,102 @@ def formula_optimal_circulant(n: int) -> CirculantSpec:
     return CirculantSpec(n, (d - 1, d))
 
 
-def _ring_key(n: int, t: int, bound: int) -> tuple[int, int]:
-    """(diameter, total distance) of C(n; 1, t) from its tents, without a BFS.
+def _envelope(heights: dict[int, int], m: int) -> tuple[int, int]:
+    """(diameter, total) of the lower envelope of slope-1 tents on an m-cycle.
 
-    A shortest route to offset k takes some net number j of t-steps and
-    then ring steps, so ``d(k) = min over j of |j| + ringdist(k - j t)``:
-    the profile is the lower envelope of slope-1 tents on the n-cycle, tent
-    j with its apex at ``j t mod n`` and height ``|j|``.  Only the tents
-    with ``|j| <= bound`` are laid.  The result is exact when the diameter
-    is at most ``bound``, because the best j of every k then has
-    ``|j| <= d(k) <= bound``; otherwise the envelope lies above the profile
-    and its diameter exceeds ``bound``.
-
-    Cut the cycle at 0 and list the apexes in order, with the apex 0
-    (height 0) at both ends.  The envelope height ``h`` at each apex is a
-    prefix minimum of ``height - position`` plus the position, or a suffix
-    minimum of ``height + position`` minus it; a route through the cut is
-    never shorter than the tent at 0.  Between neighbouring apexes g apart
-    the envelope is ``min(h1 + e, h2 + g - e)`` for ``e = 0 .. g``.  With
-    ``s = h1 + h2 + g`` its peak is ``s // 2`` and its values sum to
-    ``s * s // 4 - h1 (h1 - 1) / 2 - h2 (h2 - 1) / 2``.  Each inner apex
-    ends one gap and starts the next, so counting it once gives the total
-    ``sum(s * s // 4) - sum(h * h)``.
+    ``heights`` maps each apex position in ``0 .. m - 1`` to its tent height,
+    and the apex at 0 has the lowest height h0.  Cut the cycle at 0 and list
+    the apexes in order, with the apex 0 at both ends (a copy at m).  The
+    envelope height ``h`` at each apex is a prefix minimum of
+    ``height - position`` plus the position, or a suffix minimum of
+    ``height + position`` minus it; a tent that reaches across the cut is
+    never below the tent at 0, whose height is the lowest.  Between
+    neighbouring apexes w apart the envelope is ``min(h1 + e, h2 + w - e)``
+    for ``e = 0 .. w``.  With ``s = h1 + h2 + w`` its peak is ``s // 2`` and
+    its values sum to ``s * s // 4 - h1 (h1 - 1) / 2 - h2 (h2 - 1) / 2``.
+    Each inner apex ends one gap and starts the next, and the cut apex is
+    one node listed twice, so the total is
+    ``sum(s * s // 4) - sum(h * h) + h0 * h0``.
     """
-    heights = {p: j for j in range(bound, -1, -1) for p in (j * t % n, -j * t % n)}
-    heights[n] = 0
+    h0 = heights[0]
+    heights[m] = h0
     apexes = sorted(heights)
     left = accumulate([heights[a] - a for a in apexes], min)
     right = list(accumulate([heights[a] + a for a in reversed(apexes)], min))[::-1]
     h = [min(lo + a, hi - a) for lo, hi, a in zip(left, right, apexes)]
     spans = [h1 + h2 + b - a for h1, h2, a, b in zip(h, h[1:], apexes, apexes[1:])]
-    return max(spans) // 2, sum(s * s // 4 for s in spans) - sum(x * x for x in h)
+    return max(spans) // 2, sum(s * s // 4 for s in spans) - sum(x * x for x in h) + h0 * h0
+
+
+def _ring_key(n: int, t: int, bound: int) -> tuple[int, int]:
+    """(diameter, total distance) of C(n; 1, t) from its tents, without a BFS.
+
+    A shortest route to offset k takes some net number j of t-steps and
+    then ring steps, so ``d(k) = min over j of |j| + ringdist(k - j t)``:
+    the profile is the lower envelope (``_envelope``) of slope-1 tents on
+    the n-cycle, tent j with its apex at ``j t mod n`` and height ``|j|``.
+    Only the tents with ``|j| <= bound`` are laid, from the highest down,
+    so the lowest height at each apex is the one kept, and the apex 0 has
+    height 0.  The result is exact when the diameter is at most ``bound``,
+    because the best j of every k then has ``|j| <= d(k) <= bound``;
+    otherwise the envelope lies above the profile and its diameter exceeds
+    ``bound``.  This is ``_pair_key(n, 1, t, bound)``, one coset, with the
+    label arithmetic left out: the ring search calls it for every candidate.
+    """
+    heights = {p: j for j in range(bound, -1, -1) for p in (j * t % n, -j * t % n)}
+    return _envelope(heights, n)
+
+
+def _pair_key(n: int, s1: int, s2: int, bound: int) -> tuple[int, int]:
+    """(diameter, total distance) of C(n; s1, s2) from its tents, without a BFS.
+
+    Let g = gcd(s1, n), m = n / g and a = (s1 / g)**-1 mod m.  The s1-steps
+    split the nodes into g cycles of m nodes, one per coset mod g.  Label
+    node p as ``p % g * m + a * (p // g) % m``: coset ``p % g``, and on its
+    cycle the position at which one s1-step adds 1.  A shortest route to p
+    takes some net number j of s2-steps, landing on ``j s2 mod n``, and then
+    s1-steps along that node's cycle.  So each coset's profile is the lower
+    envelope (``_envelope``) of the tents of height ``|j|`` at the labels of
+    ``j s2 mod n`` that fall in it, as in ``_ring_key``, which is the case
+    g = 1.
+
+    The node ``j s2 mod n`` lies in coset ``j s2 mod g``.  Connectivity
+    makes s2 a unit mod g, so the tents of one coset are the j of one
+    residue class j0 mod g; take |j0| <= g / 2, the lowest height in the
+    class.  Writing ``j = j0 + k g``, its label lies ``k t`` after the label
+    of j0 on the cycle, with ``t = a s2 mod m``.  So cut each cycle at its
+    lowest apex j0: the coset's tents are ``k t mod m`` with height
+    ``|j0 + k g|``.  The classes j0 and -j0 give mirror images, with the
+    same key, so only j0 = 0 .. g // 2 are laid.  The key is the largest
+    coset diameter and the sum of the coset totals.
+
+    As in ``_ring_key``, only tents with ``|j| <= bound`` are laid, and the
+    key is exact when the diameter is at most ``bound``.  Otherwise some
+    coset's envelope lies above the bound, and the first such coset ends
+    the walk with a diameter above the bound.  With g > 2 bound + 1 some
+    coset has no tent at all.
+    """
+    g = math.gcd(s1, n)
+    if g > 2 * bound + 1:
+        return bound + 1, 0
+    m = n // g
+    t = pow(s1 // g, -1, m) * s2 % m
+    diameter = total = 0
+    for j0 in range(g // 2 + 1):
+        # Laid from the highest tent down, so each label keeps its lowest
+        # height: (k + 1) g - j0 >= k g + j0 >= k g - j0 because 2 j0 <= g.
+        heights = {
+            p: h
+            for k in range((bound - j0) // g, -1, -1)
+            for p, h in ((-(k + 1) * t % m, (k + 1) * g - j0), (k * t % m, k * g + j0))
+            if h <= bound
+        }
+        coset_diameter, coset_total = _envelope(heights, m)
+        if coset_diameter > bound:
+            return coset_diameter, total
+        diameter = max(diameter, coset_diameter)
+        total += coset_total if j0 == 0 or 2 * j0 == g else 2 * coset_total
+    return diameter, total
 
 
 @lru_cache(maxsize=None)
@@ -409,8 +476,11 @@ def search_best_circulant2(n: int) -> CirculantSpec:
     holds every ring key, so the search starts from the ring winner and
     its key.  A later pair with a unit generatrix repeats one of those
     keys, which is never strictly below the ring winner's, so it cannot
-    win.  Only the pairs in which neither generatrix is a unit are scanned,
-    each by a BFS.
+    win.  Only the pairs in which neither generatrix is a unit are scanned.
+    Each gets its key from the tents of its cosets (``_pair_key``), laid up
+    to the best diameter so far, so no pair runs a BFS: one within the
+    bound gets its exact key, and one beyond it a diameter above the bound,
+    so it loses as it should.
     """
     if n < 5:
         raise ValidationError(f"no valid generatrix pair for n={n}; need n >= 5")
@@ -423,8 +493,7 @@ def search_best_circulant2(n: int) -> CirculantSpec:
         for s2 in range(s1 + 1, limit + 1):
             if math.gcd(s2, n) == 1 or math.gcd(n, s1, s2) != 1:
                 continue
-            profile = circulant_distance_profile(n, (s1, s2))
-            key = (max(profile), sum(profile))
+            key = _pair_key(n, s1, s2, best_key[0])
             if key < best_key:
                 best_key = key
                 best_pair = (s1, s2)

@@ -28,6 +28,7 @@ from circnoc.routing import (
     table_next_hop,
     trace_route,
 )
+from circnoc.routing import _scan
 from circnoc.topology import CirculantSpec, bfs_distances, build_circulant
 from oracles import ref_adaptive_walk, ref_ring_profile, ref_step_cycles, ring_s2_values
 
@@ -306,6 +307,27 @@ def test_adaptive_traces_are_shortest_when_wraps_covered():
         profile = ref_ring_profile(n, s2)
         for dst in range(1, n):
             assert trace_route("adaptive", 0, dst, cfg, mode).hops == profile[dst]
+
+
+def test_corrected_adaptive_hop_lowers_its_scan_value():
+    # V(u, v): the smaller of the two direction scans that the router runs
+    # at u toward v, a function of |v - u|, with V(v, v) = 0.  Every
+    # corrected hop lowers V by at least one, so a route takes at most
+    # V(src, dst) hops and cannot livelock.
+    for max_cycles in (2, 3, 8):
+        mode = AdaptiveMode("corrected", max_cycles)
+        for n in range(5, 41):
+            for s2 in ring_s2_values(n):
+                cfg = RouterConfig(n, 1, s2)
+                value = [0] + [
+                    min(_scan(s, n, s2, max_cycles)[0], _scan(n - s, n, s2, max_cycles)[0])
+                    for s in range(1, n)
+                ]
+                for u in range(n):
+                    for v in range(n):
+                        if u != v:
+                            nxt = adaptive_step(u, v, cfg, mode)
+                            assert value[abs(v - nxt)] <= value[abs(v - u)] - 1, (cfg, mode, u, v)
 
 
 # --- tracing ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from circnoc.topology import (
     search_best_circulant2,
     search_best_ring_circulant,
 )
-from circnoc.topology import _ring_key
+from circnoc.topology import _pair_key, _ring_key
 from oracles import ref_bfs, ref_metrics, ref_pair_profile, ref_ring_profile, ring_s2_values
 
 
@@ -407,6 +407,62 @@ def test_ring_key_below_the_diameter_reports_a_diameter_above_the_bound():
                 assert _ring_key(n, t, bound)[0] > bound, (n, t, bound)
 
 
+def _pairs_up_to_half(n):
+    # Every connected C(n; s1, s2), s2 = n/2 included.
+    for s1 in range(1, n // 2):
+        for s2 in range(s1 + 1, n // 2 + 1):
+            if math.gcd(n, s1, s2) == 1:
+                yield s1, s2
+
+
+def _non_unit_pairs(n):
+    # The pairs that the general search ranks by their coset tents.
+    return [
+        (s1, s2)
+        for s1, s2 in _connected_pairs(n)
+        if math.gcd(s1, n) > 1 and math.gcd(s2, n) > 1
+    ]
+
+
+def test_pair_key_matches_bfs_and_prunes_below_the_diameter():
+    # Exact with an unlimited bound; below the diameter, a diameter above
+    # the bound, which is what the general search prunes on.
+    for n in range(5, 61):
+        for s1, s2 in _pairs_up_to_half(n):
+            profile = ref_pair_profile(n, s1, s2)
+            key = (max(profile), sum(profile))
+            assert _pair_key(n, s1, s2, n) == key, (n, s1, s2)
+            assert _pair_key(n, s1, s2, key[0]) == key, (n, s1, s2)
+            for bound in range(key[0]):
+                assert _pair_key(n, s1, s2, bound)[0] > bound, (n, s1, s2, bound)
+
+
+def test_pair_key_matches_bfs_for_every_non_unit_pair():
+    count = 0
+    for n in range(5, 121):
+        for s1, s2 in _non_unit_pairs(n):
+            profile = ref_pair_profile(n, s1, s2)
+            assert _pair_key(n, s1, s2, n) == (max(profile), sum(profile)), (n, s1, s2)
+            count += 1
+    assert count == 3223
+
+
+@given(n=st.integers(min_value=6, max_value=300), data=st.data())
+@settings(max_examples=30)
+def test_pair_key_matches_bfs_on_random_non_unit_pairs(n, data):
+    pairs = _non_unit_pairs(n)
+    if not pairs:
+        return
+    s1, s2 = data.draw(st.sampled_from(pairs))
+    profile = ref_pair_profile(n, s1, s2)
+    key = (max(profile), sum(profile))
+    bound = data.draw(st.integers(min_value=0, max_value=key[0]))
+    if bound == key[0]:
+        assert _pair_key(n, s1, s2, bound) == key
+    else:
+        assert _pair_key(n, s1, s2, bound)[0] > bound
+
+
 def _moore_bound_holds(spec):
     # A 4-regular circulant reaches at most 4d nodes at distance d, so
     # n <= 1 + sum(4d for d in 1..D) = 2 D**2 + 2 D + 1 (Boesch & Wang).
@@ -418,12 +474,12 @@ def test_best_circulants_respect_the_moore_bound():
     for n in range(5, 201):
         assert _moore_bound_holds(search_best_ring_circulant(n)), n
         assert _moore_bound_holds(search_best_circulant2(n)), n
-    # The route_traffic sizes.  At n = 2025 the general search spends about
-    # 40 s in BFS over the pairs without a unit generatrix, so only the ring
-    # winner is checked there.
+    # The route_traffic sizes.  At n = 2025 the general search ranks its
+    # 36,450 pairs without a unit generatrix by their coset tents, about 1 s.
     assert _moore_bound_holds(search_best_ring_circulant(1024))
     assert _moore_bound_holds(search_best_circulant2(1024))
     assert _moore_bound_holds(search_best_ring_circulant(2025))
+    assert _moore_bound_holds(search_best_circulant2(2025))
 
 
 def test_search_best_ring_deterministic():
