@@ -246,6 +246,7 @@ def _cmd_fuzz(args) -> int:
         trials=args.trials,
         n_min=args.n_min,
         n_max=args.n_max,
+        mode=_mode_from(args),
     )
     report = harness.fuzz_termination(config)
     print(f"trials = {report.trials}, livelocks = {report.livelock_count}")
@@ -347,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=5, dest="n_min")
     p.add_argument("--n-max", type=int, default=300, dest="n_max")
     p.add_argument("--out", help="report JSON path")
+    _add_mode_flags(p)
     p.set_defaults(func=_cmd_fuzz)
 
     return parser

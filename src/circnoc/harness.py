@@ -263,12 +263,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Seeded random routing workload; identical seeds replay identically."""
+    """Seeded random routing workload; identical seeds replay identically.
+
+    ``mode`` is the adaptive variant that every adaptive draw routes with.
+    """
 
     seed: int
     trials: int = 10_000
     n_min: int = 5
     n_max: int = 300
+    mode: AdaptiveMode = CORRECTED
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -301,7 +305,9 @@ def fuzz_termination(config: FuzzConfig) -> FuzzReport:
     """Route seeded random (n, s2, src, dst, algorithm) tuples to completion.
 
     A route that livelocks is recorded with the tuple needed to reproduce
-    it; ``trace_route`` proves a livelock within n - 1 hops.
+    it, the adaptive variant and wrap bound included; ``trace_route``
+    proves a livelock within n - 1 hops.  Only the printed variant can
+    livelock, so a corrected run reports none.
     """
     rng = random.Random(config.seed)
     livelocks = []
@@ -313,7 +319,7 @@ def fuzz_termination(config: FuzzConfig) -> FuzzReport:
         algorithm = ALGORITHMS[rng.randrange(len(ALGORITHMS))]
         cfg = RouterConfig(n, 1, s2)
         try:
-            trace_route(algorithm, src, dst, cfg, CORRECTED)
+            trace_route(algorithm, src, dst, cfg, config.mode)
         except LivelockError:
             livelocks.append(
                 {
@@ -323,6 +329,8 @@ def fuzz_termination(config: FuzzConfig) -> FuzzReport:
                     "src": src,
                     "dst": dst,
                     "algorithm": algorithm,
+                    "variant": config.mode.variant,
+                    "max_cycles": config.mode.max_cycles,
                 }
             )
     return FuzzReport(

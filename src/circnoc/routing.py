@@ -12,13 +12,15 @@ Three per-hop strategies share one four-port router model:
 
 Ports are numbered clockwise: 0 -> +s1, 1 -> +s2, 2 -> -s1, 3 -> -s2.
 Everything here is a pure function of its inputs; tables and traces are
-immutable once built.
+immutable once built, and a config's next-port memo only keeps what the
+routing rules return.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from .errors import LivelockError, ValidationError
 from .topology import CirculantSpec, circulant_distance_profile
@@ -58,6 +60,13 @@ class RouterConfig:
 
     Routing arithmetic requires the unit first generatrix and s2 strictly
     below n/2 (so s2 fits in the address-difference field).
+
+    Every router picks its next port from d = dest - current alone: the
+    table and clockwise rules read d mod n, the adaptive rule reads |d|
+    and the sign of d (its ties go counter-clockwise, so u -> v and
+    v -> u can differ).  ``trace_route`` keeps each port it has decided in
+    this config's next-port memo, which is not a field: equality, hashing
+    and ``asdict`` see n, s1 and s2 only.
     """
 
     n: int
@@ -87,6 +96,17 @@ class RouterConfig:
     def port_steps(self) -> tuple[int, int, int, int]:
         """Signed node-label steps by port number (clockwise numbering)."""
         return (self.s1, self.s2, -self.s1, -self.s2)
+
+    @cached_property
+    def _next_ports(self) -> dict[object, list[int | None]]:
+        """Next-port memo of ``trace_route``, living as long as this config.
+
+        One list per rule, keyed ``"table"``, ``"clockwise"`` or by the
+        ``AdaptiveMode``.  Each list has 2n slots indexed by d in (-n, n),
+        a negative d counting from the end, and a slot stays None until a
+        route first needs it.
+        """
+        return {}
 
     def __str__(self) -> str:
         return f"C({self.n}; {self.s1}, {self.s2})"
@@ -441,6 +461,12 @@ def trace_route(
 ) -> RouteTrace:
     """Trace a packet from src to dst, recording nodes and ports per hop.
 
+    Each hop's port depends on d = dst - current alone (the table and
+    clockwise rules read d mod n, the adaptive rule |d| and its sign), so
+    it is read from the config's next-port memo for this algorithm and
+    mode.  A slot is filled on first use from the rule itself:
+    ``_shortest_port``, ``_clockwise_delta`` or ``_adaptive_delta``.
+
     Every router picks its next hop from (current, dest) alone, so a walk
     that revisits a node repeats forever.  A walk of n - 1 hops that has
     not arrived has visited n nodes other than dst, so by pigeonhole it
@@ -455,31 +481,36 @@ def trace_route(
 
     steps = cfg.port_steps()
     if algorithm == "table":
-        profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
 
-        def delta(cur: int) -> int:
-            return steps[_shortest_port(profile, steps, (dst - cur) % n, n)]
+        def rule(cur: int) -> int:
+            profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
+            return _shortest_port(profile, steps, (dst - cur) % n, n)
 
     elif algorithm == "clockwise":
 
-        def delta(cur: int) -> int:
-            return _clockwise_delta(cur, dst, cfg)
+        def rule(cur: int) -> int:
+            return steps.index(_clockwise_delta(cur, dst, cfg))
 
     else:
 
-        def delta(cur: int) -> int:
-            return _adaptive_delta(cur, dst, cfg, mode)
+        def rule(cur: int) -> int:
+            return steps.index(_adaptive_delta(cur, dst, cfg, mode))
 
-    port_of = {step: port for port, step in enumerate(steps)}
+    key = mode if algorithm == "adaptive" else algorithm
+    memo = cfg._next_ports.get(key)
+    if memo is None:
+        memo = cfg._next_ports[key] = [None] * (2 * n)
     nodes = [src]
     ports = []
     current = src
     for _ in range(n - 1):
         if current == dst:
             break
-        step = delta(current)
-        ports.append(port_of[step])
-        current = (current + step) % n
+        port = memo[dst - current]
+        if port is None:
+            port = memo[dst - current] = rule(current)
+        ports.append(port)
+        current = (current + steps[port]) % n
         nodes.append(current)
     if current != dst:
         seen: dict[int, int] = {}

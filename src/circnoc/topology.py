@@ -473,10 +473,11 @@ def search_best_circulant2(n: int) -> CirculantSpec:
     ring circulant C(n; 1, t), with ``u = other * g**-1 mod n`` and
     ``t = min(u, n - u)``, which lies in 2 .. (n - 1) // 2 because
     0 < s1 < s2 < n/2.  The row s1 = 1 comes first in the scan and
-    holds every ring key, so the search starts from the ring winner and
-    its key.  A later pair with a unit generatrix repeats one of those
-    keys, which is never strictly below the ring winner's, so it cannot
-    win.  Only the pairs in which neither generatrix is a unit are scanned.
+    holds every ring key, so the search starts from the ring winner
+    (``search_best_ring_circulant``) and its key.  A later pair with a
+    unit generatrix repeats one of those keys, which is never strictly
+    below the ring winner's, so it cannot win.  Only the pairs in which
+    neither generatrix is a unit are scanned.
     Each gets its key from the tents of its cosets (``_pair_key``), laid up
     to the best diameter so far, so no pair runs a BFS: one within the
     bound gets its exact key, and one beyond it a diameter above the bound,
@@ -484,8 +485,8 @@ def search_best_circulant2(n: int) -> CirculantSpec:
     """
     if n < 5:
         raise ValidationError(f"no valid generatrix pair for n={n}; need n >= 5")
-    t, best_key = _best_ring(n)
-    best_pair = (1, t)
+    best_pair = search_best_ring_circulant(n).generatrices
+    best_key = _best_ring(n)[1]
     limit = (n - 1) // 2
     for s1 in range(2, limit):
         if math.gcd(s1, n) == 1:

@@ -241,6 +241,20 @@ def test_fuzz_command(capsys, tmp_path):
     assert payload["livelock_count"] == 0 and payload["trials"] == 60
 
 
+def test_fuzz_printed_mode_reports_livelocks_and_exits_two(capsys):
+    code, out, _ = run(capsys, "fuzz", "--seed", "1", "--trials", "60", "--mode", "printed")
+    assert code == 2
+    assert "livelocks = 3" in out
+    assert out.count("'variant': 'printed', 'max_cycles': 2}") == 3
+
+
+@pytest.mark.parametrize("flags", [("--mode", "sideways"), ("--max-cycles", "1")])
+def test_fuzz_bad_mode_exits_one(capsys, flags):
+    code, _, err = run(capsys, "fuzz", "--seed", "1", "--trials", "5", *flags)
+    assert code == 1
+    assert "error:" in err
+
+
 # --- exit codes ------------------------------------------------------------------
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from circnoc.errors import ValidationError
+from circnoc.errors import LivelockError, ValidationError
 from circnoc.harness import (
     REFERENCE_FIRST_N_OVER_TWO_CYCLES,
     ExperimentConfig,
@@ -13,7 +13,7 @@ from circnoc.harness import (
     run_experiment,
     square_sizes,
 )
-from circnoc.routing import RouterConfig, clockwise_hop_count
+from circnoc.routing import AS_PRINTED, AdaptiveMode, RouterConfig, clockwise_hop_count, trace_route
 from circnoc.topology import search_best_ring_circulant
 from oracles import ref_ring_profile
 
@@ -193,6 +193,25 @@ def test_fuzz_different_seeds_differ():
     b = fuzz_termination(FuzzConfig(seed=2, trials=50))
     assert a.to_json() != b.to_json()  # the seed is part of the report
     assert a.livelock_count == b.livelock_count == 0
+
+
+def test_fuzz_corrected_report_has_no_mode():
+    report = fuzz_termination(FuzzConfig(seed=1, trials=50))
+    assert json.loads(report.to_json()) == {
+        "seed": 1, "trials": 50, "n_min": 5, "n_max": 300, "livelock_count": 0, "livelocks": [],
+    }
+
+
+def test_fuzz_printed_variant_livelocks_reproduce():
+    report = fuzz_termination(FuzzConfig(seed=1, mode=AS_PRINTED))
+    # characterization: 457 of the seed's 3,333 adaptive draws livelock
+    assert report.livelock_count == 457
+    for entry in report.livelocks:
+        assert (entry["algorithm"], entry["variant"], entry["max_cycles"]) == ("adaptive", "printed", 2)
+        cfg = RouterConfig(entry["n"], 1, entry["s2"])
+        mode = AdaptiveMode(entry["variant"], entry["max_cycles"])
+        with pytest.raises(LivelockError):
+            trace_route(entry["algorithm"], entry["src"], entry["dst"], cfg, mode)
 
 
 def test_fuzz_config_validation():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,15 @@ def test_router_config_from_spec():
         RouterConfig.from_spec(CirculantSpec(9, (2, 3)))
     with pytest.raises(ValidationError):
         RouterConfig.from_spec(CirculantSpec(9, (1,)))
+
+
+def test_router_config_memo_is_not_a_field():
+    cfg = RouterConfig(16, 1, 7)
+    trace_route("adaptive", 0, 9, cfg)
+    fresh = RouterConfig(16, 1, 7)
+    assert cfg == fresh and hash(cfg) == hash(fresh)
+    assert repr(cfg) == "RouterConfig(n=16, s1=1, s2=7)"
+    assert asdict(cfg) == {"n": 16, "s1": 1, "s2": 7}
 
 
 @pytest.mark.parametrize("n, bits", [(2, 1), (8, 3), (9, 4), (100, 7), (128, 7), (129, 8), (529, 10)])
@@ -381,6 +391,35 @@ def test_trace_livelock_error_names_cycle():
         "adaptive routing livelocks in C(100; 1, 18) for pair 0 -> 97: cycle 0 -> 82 -> 0"
     )
     assert exc.value.cycle == (0, 82, 0)
+
+
+def test_memoized_traces_follow_the_per_hop_helpers():
+    # trace_route reads each port from the config's memo; every trace must
+    # still be the node-by-node walk of the per-hop helper.  One config per
+    # (n, s2) serves every ordered pair, and its adaptive memo is first
+    # filled at max_cycles=2, so a memo shared between modes would show at
+    # 3.  C(41; 1, 19) is the smallest ring circulant on which the two
+    # bounds pick different steps (at d = 31), so it joins those up to 30.
+    warm, mode = AdaptiveMode("corrected", 2), AdaptiveMode("corrected", 3)
+    cfgs = [RouterConfig(n, 1, s2) for n in range(5, 31) for s2 in ring_s2_values(n)]
+    for cfg in cfgs + [RouterConfig(41, 1, 19)]:
+        n = cfg.n
+        for v in range(1, n):
+            trace_route("adaptive", 0, v, cfg, warm)
+            trace_route("adaptive", v, 0, cfg, warm)
+        table = build_routing_table(cfg)
+        helpers = {
+            "table": lambda u, v: table_next_hop(table, u, v)[0],
+            "clockwise": lambda u, v: clockwise_step(u, v, cfg),
+            "adaptive": lambda u, v: adaptive_step(u, v, cfg, mode),
+        }
+        for algorithm, step in helpers.items():
+            for v in range(n):
+                nxt = [step(u, v) if u != v else v for u in range(n)]
+                for u in range(n):
+                    nodes = trace_route(algorithm, u, v, cfg, mode).nodes
+                    assert nodes[0] == u and nodes[-1] == v, (algorithm, cfg, u, v)
+                    assert all(nxt[a] == b for a, b in zip(nodes, nodes[1:])), (algorithm, cfg, u, v)
 
 
 def test_trace_livelock_bound_is_exact():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circnoc import topology
 from circnoc.errors import DisconnectedGraphError, ValidationError
 from circnoc.routing import RouterConfig, arithmetic_min_hops
 from circnoc.topology import (
@@ -273,6 +274,15 @@ def test_search_best_circulant2_matches_brute_force_oracle():
             if best is None or key < best:
                 best = key
         assert search_best_circulant2(n).generatrices == best[2:], n
+
+
+def test_search_best_circulant2_starts_from_the_ring_search(monkeypatch):
+    # the ring walk goes through the public search, so a wrapper there
+    # (such as the benchmark's tracer) sees it apart from the pair keys
+    ring_search, calls = topology.search_best_ring_circulant, []
+    monkeypatch.setattr(topology, "search_best_ring_circulant", lambda n: calls.append(n) or ring_search(n))
+    assert search_best_circulant2(100) == ring_search(100) == CirculantSpec(100, (1, 18))
+    assert calls == [100]
 
 
 def test_circulant_profile_matches_graph_bfs():
