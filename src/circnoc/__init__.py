@@ -40,21 +40,12 @@ from .routing import (
     AS_PRINTED,
     CORRECTED,
     AdaptiveMode,
-    HeadFlitAddress,
     RouteTrace,
     RouterConfig,
     RoutingTable,
-    adaptive_step,
-    arithmetic_min_hops,
     build_routing_table,
     clockwise_hop_count,
-    clockwise_step,
-    head_flit_address,
     payload_bits,
-    port_for_step,
-    step_cycles,
-    step_for_port,
-    table_next_hop,
     trace_route,
 )
 from .topology import (

@@ -10,6 +10,8 @@ many routers fit on a chip under a budget fraction.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -209,11 +211,19 @@ def format_memory_csv(reports: list[MemoryReport]) -> str:
 
 @dataclass(frozen=True)
 class QuadraticCost:
-    """Quadratic cost curve a0 + a1*x + a2*x**2 over the router count x."""
+    """Quadratic cost curve a0 + a1*x + a2*x**2 over the router count x.
+
+    The curve must open upward (a2 > 0): then the counts that fit a budget
+    form one interval, and ``chip_capacity`` can search it by bisection.
+    """
 
     a0: float
     a1: float
     a2: float
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a0, self.a1, self.a2))) or not self.a2 > 0:
+            raise ValidationError(f"cost curve needs finite coefficients and a2 > 0: {self}")
 
     def usage(self, x: int) -> float:
         return self.a0 + self.a1 * x + self.a2 * x * x
@@ -266,6 +276,8 @@ class ChipProfile:
             raise ValidationError(
                 f"budget fraction must be in (0, 1], got {self.budget_fraction}"
             )
+        if max(self.alm_total, self.reg_total) > sys.float_info.max:
+            raise ValidationError("chip resource totals must fit a finite float")
 
 
 @dataclass(frozen=True)
@@ -292,10 +304,13 @@ def resource_usage(model: ResourceModel, algorithm: str, resource: str, x: int) 
     """
     if x < 1:
         raise ValidationError(f"router count must be >= 1, got {x}")
-    return model.curve(algorithm, resource).usage(x)
-
-
-_CAPACITY_SCAN_LIMIT = 10_000_000
+    try:
+        value = model.curve(algorithm, resource).usage(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"router count too large: its {resource} cost is not a finite float")
+    return value
 
 
 def chip_capacity(
@@ -305,9 +320,10 @@ def chip_capacity(
 ) -> CapacityReport:
     """Largest router count whose ALM and register usage both fit the budget.
 
-    The curves increase over the feasible region, so an upward linear scan
-    stops at the first infeasible count; that count's worst-overrun
-    resource is reported as binding.  No feasible count yields zero.
+    Each curve opens upward, so the counts that fit form an interval; when
+    1 fits, they are a prefix 1..H.  Doubling finds a count that overruns,
+    bisection then finds the first one, H + 1, whose worst-overrun resource
+    is reported as binding.  No feasible count yields zero.
     """
     alm_curve = model.curve(algorithm, "alm")
     reg_curve = model.curve(algorithm, "register")
@@ -324,22 +340,21 @@ def chip_capacity(
             out["register"] = reg / reg_budget
         return out
 
-    x = 1
-    while not overruns(x):
-        x += 1
-        if x > _CAPACITY_SCAN_LIMIT:  # pragma: no cover
-            raise RuntimeError(f"capacity scan for {algorithm} did not terminate")
-    failed = overruns(x)
+    fits, over = 0, 1
+    while not overruns(over):
+        fits, over = over, 2 * over
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        fits, over = (fits, mid) if overruns(mid) else (mid, over)
+    failed = overruns(over)
     binding = max(failed, key=lambda r: failed[r])
-    max_routers = x - 1
-    report_x = max_routers if max_routers >= 1 else 1
     return CapacityReport(
         algorithm=algorithm,
         alm_total=profile.alm_total,
         reg_total=profile.reg_total,
         budget_fraction=profile.budget_fraction,
-        max_routers=max_routers,
+        max_routers=fits,
         binding_resource=binding,
-        alm_used=alm_curve.usage(report_x),
-        reg_used=reg_curve.usage(report_x),
+        alm_used=alm_curve.usage(max(fits, 1)),
+        reg_used=reg_curve.usage(max(fits, 1)),
     )

@@ -34,20 +34,10 @@ __all__ = [
     "AS_PRINTED",
     "RoutingTable",
     "RouteTrace",
-    "HeadFlitAddress",
-    "head_flit_address",
     "payload_bits",
-    "port_for_step",
-    "step_for_port",
     "build_routing_table",
-    "table_next_hop",
-    "clockwise_step",
     "clockwise_hop_count",
-    "step_cycles",
-    "adaptive_step",
     "trace_route",
-    "candidate_form_hops",
-    "arithmetic_min_hops",
 ]
 
 ALGORITHMS = ("table", "clockwise", "adaptive")
@@ -88,10 +78,6 @@ class RouterConfig:
         if spec.k != 2 or not spec.is_ring:
             raise ValidationError(f"routing requires a ring circulant C(n; 1, s2), got {spec}")
         return cls(spec.n, spec.generatrices[0], spec.generatrices[1])
-
-    @property
-    def spec(self) -> CirculantSpec:
-        return CirculantSpec(self.n, (self.s1, self.s2))
 
     def port_steps(self) -> tuple[int, int, int, int]:
         """Signed node-label steps by port number (clockwise numbering)."""
@@ -237,48 +223,6 @@ def payload_bits(n: int) -> int:
     return (n - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class HeadFlitAddress:
-    """Address payload carried by a packet's head flit.
-
-    Table and adaptive routing transmit the destination id; clockwise
-    routing transmits the residual label difference instead.  Either way
-    the value fits the ceil(log2(n))-bit address field.
-    """
-
-    algorithm: str
-    value: int
-    bits: int
-
-
-def head_flit_address(algorithm: str, src: int, dst: int, cfg: RouterConfig) -> HeadFlitAddress:
-    """Initial head-flit payload for a packet from src to dst."""
-    if algorithm not in ALGORITHMS:
-        raise ValidationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    _check_node(src, cfg.n, "src")
-    _check_node(dst, cfg.n, "dst")
-    value = (dst - src) % cfg.n if algorithm == "clockwise" else dst
-    return HeadFlitAddress(algorithm=algorithm, value=value, bits=payload_bits(cfg.n))
-
-
-def port_for_step(delta: int, cfg: RouterConfig) -> int:
-    """Port number that realizes a signed generatrix step."""
-    steps = cfg.port_steps()
-    try:
-        return steps.index(delta)
-    except ValueError:
-        raise ValidationError(
-            f"step {delta} is not one of +-{cfg.s1}, +-{cfg.s2}"
-        ) from None
-
-
-def step_for_port(port: int, cfg: RouterConfig) -> int:
-    """Signed generatrix step realized by a port number."""
-    if not 0 <= port <= 3:
-        raise ValidationError(f"port {port} out of range [0, 3]")
-    return cfg.port_steps()[port]
-
-
 def _shortest_port(profile: tuple[int, ...], steps: tuple[int, int, int, int], offset: int, n: int) -> int:
     """Smallest port whose step moves one hop closer to the given offset."""
     d = profile[offset]
@@ -302,13 +246,6 @@ def build_routing_table(cfg: RouterConfig) -> RoutingTable:
     return RoutingTable(cfg=cfg, ports=(None,) + row)
 
 
-def table_next_hop(table: RoutingTable, current: int, dest: int) -> tuple[int, int]:
-    """Follow the table one hop: returns (next node, port taken)."""
-    port = table.port(current, dest)
-    nxt = (current + step_for_port(port, table.cfg)) % table.n
-    return nxt, port
-
-
 def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:
     """Clockwise routing rule: the signed step from current toward dest != current.
 
@@ -324,15 +261,6 @@ def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:
         back = n - s
         step = -cfg.s2 if back >= cfg.s2 else -cfg.s1
     return step
-
-
-def clockwise_step(current: int, dest: int, cfg: RouterConfig) -> int:
-    """One hop of clockwise routing; returns the next node (or current at dest)."""
-    _check_node(current, cfg.n, "current")
-    _check_node(dest, cfg.n, "dest")
-    if current == dest:
-        return current
-    return (current + _clockwise_delta(current, dest, cfg)) % cfg.n
 
 
 def clockwise_hop_count(src: int, dst: int, cfg: RouterConfig) -> int:
@@ -353,19 +281,13 @@ def clockwise_hop_count(src: int, dst: int, cfg: RouterConfig) -> int:
     return s // cfg.s2 + s % cfg.s2
 
 
-def candidate_form_hops(target: int, s2: int) -> tuple[int, int]:
-    """Hop counts of the two route shapes covering a displacement ``target``.
-
-    With q, r = divmod(target, s2): either q long steps topped up with r
-    unit steps (q + r hops), or q + 1 long steps overshooting and walking
-    back s2 - r unit steps (q - r + s2 + 1 hops).
-    """
-    q, r = divmod(target, s2)
-    return q + r, q - r + s2 + 1
-
-
 def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int, int, bool]:
     """Adaptive candidate scan of one travel direction covering ``base``.
+
+    With q, r = divmod(target, s2), a displacement ``target`` is covered
+    either by q long steps topped up with r unit steps (q + r hops) or by
+    q + 1 long steps overshooting and walking back s2 - r unit steps
+    (q - r + s2 + 1 hops); the first is strictly shorter when 2r <= s2.
 
     Follows the scan order of the hardware description: the unwrapped pair
     first (a winning remainder route starts with the unit generatrix),
@@ -376,30 +298,16 @@ def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int
     q grows with m, so no later wrap can improve.  Without a bound the
     result is exact.  Returns (hops, wraps, unit step first).
     """
-    first, second = candidate_form_hops(base, s2)
-    unit = first < second and base % s2 > 0
-    best, wraps, m = first if first < second else second, 0, 1
+    q, r = divmod(base, s2)
+    best = q + r if 2 * r <= s2 else q - r + s2 + 1
+    wraps, unit, m = 0, 0 < r and 2 * r <= s2, 1
     while (max_wraps is None or m <= max_wraps) and (base + m * n) // s2 <= best:
-        first, second = candidate_form_hops(base + m * n, s2)
-        if first < best:
-            best, wraps, unit = first, m, False
-        if second < best:
-            best, wraps, unit = second, m, False
+        q, r = divmod(base + m * n, s2)
+        hops = q + r if 2 * r <= s2 else q - r + s2 + 1
+        if hops < best:
+            best, wraps, unit = hops, m, False
         m += 1
     return best, wraps, unit
-
-
-def arithmetic_min_hops(offset: int, cfg: RouterConfig, max_wraps: int | None = None) -> int:
-    """Minimum closed-form route length to ``offset`` over both directions.
-
-    With ``max_wraps=None`` wraps are extended until no candidate can beat
-    the best found, which makes the result exactly the shortest-path
-    distance; a fixed bound may overestimate when large wrap counts win.
-    """
-    n = cfg.n
-    if not 1 <= offset < n:
-        raise ValidationError(f"offset {offset} out of range [1, {n})")
-    return min(_scan(base, n, cfg.s2, max_wraps)[0] for base in (offset, n - offset))
 
 
 def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
@@ -430,26 +338,6 @@ def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMo
     else:
         step = -(cfg.s1 if unit_left else s2)
     return step if current < dest else -step
-
-
-def step_cycles(start: int, end: int, cfg: RouterConfig, mode: AdaptiveMode = CORRECTED) -> int:
-    """Signed step chosen by the adaptive candidate scan, for start < end."""
-    _check_node(start, cfg.n, "start")
-    _check_node(end, cfg.n, "end")
-    if start == end:
-        raise ValidationError(f"start and end coincide at node {start}")
-    if start > end:
-        raise ValidationError(f"expects start < end, got {start} > {end}")
-    return _adaptive_delta(start, end, cfg, mode)
-
-
-def adaptive_step(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMode = CORRECTED) -> int:
-    """One hop of adaptive routing; returns the next node (or current at dest)."""
-    _check_node(current, cfg.n, "current")
-    _check_node(dest, cfg.n, "dest")
-    if current == dest:
-        return current
-    return (current + _adaptive_delta(current, dest, cfg, mode)) % cfg.n
 
 
 def trace_route(

@@ -3,13 +3,13 @@
 Everything here is deliberately written from scratch (plain BFS and
 brute-force dynamic programming) so package results are checked against
 a second, unrelated code path.  ``ref_adaptive_walk`` reuses the
-package's per-hop ``adaptive_step`` on purpose: it checks how routes are
-followed and stopped, not how each step is chosen.
+package's adaptive rule ``_adaptive_delta`` on purpose: it checks how
+routes are followed and stopped, not how each step is chosen.
 """
 
 from collections import deque
 
-from circnoc.routing import adaptive_step
+from circnoc.routing import _adaptive_delta
 
 
 def ref_bfs(neighbors, src):
@@ -111,7 +111,7 @@ def _ref_directional_best(base, n, s2, max_cycles):
     return best, unit
 
 
-def ref_step_cycles(start, end, cfg, mode):
+def ref_adaptive_delta(start, end, cfg, mode):
     """Signed adaptive step for start < end, from the two directional scans."""
     n = cfg.n
     s = end - start
@@ -123,15 +123,41 @@ def ref_step_cycles(start, end, cfg, mode):
     return -(cfg.s1 if unit_left else cfg.s2)
 
 
+def ref_chip_capacity(model, algorithm, profile):
+    """Chip capacity by an upward linear scan over router counts.
+
+    The first count at which either resource overruns its budget ends the
+    scan; its worst-overrun resource binds.  Returns (max_routers,
+    binding_resource, alm_used, reg_used), the usage taken at
+    max(max_routers, 1).
+    """
+    curves = {r: model.curve(algorithm, r) for r in ("alm", "register")}
+    budgets = {
+        "alm": profile.budget_fraction * profile.alm_total,
+        "register": profile.budget_fraction * profile.reg_total,
+    }
+
+    def overruns(x):
+        usage = {r: curves[r].usage(x) for r in curves}
+        return {r: usage[r] / budgets[r] for r in curves if usage[r] > budgets[r]}
+
+    x = 1
+    while not overruns(x):
+        x += 1
+    failed = overruns(x)
+    used = max(x - 1, 1)
+    return x - 1, max(failed, key=failed.get), curves["alm"].usage(used), curves["register"].usage(used)
+
+
 def ref_adaptive_walk(u, v, cfg, mode):
-    """Follow ``adaptive_step`` from u toward v, remembering every node.
+    """Follow ``_adaptive_delta`` from u toward v, remembering every node.
 
     Returns ("path", nodes) on arrival, or ("cycle", nodes) from the first
     node visited twice back to it, as soon as the walk revisits a node.
     """
     visited = [u]
     while visited[-1] != v:
-        nxt = adaptive_step(visited[-1], v, cfg, mode)
+        nxt = (visited[-1] + _adaptive_delta(visited[-1], v, cfg, mode)) % cfg.n
         if nxt in visited:
             return "cycle", tuple(visited[visited.index(nxt):]) + (nxt,)
         visited.append(nxt)

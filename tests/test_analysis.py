@@ -24,7 +24,7 @@ from circnoc.analysis import (
 )
 from circnoc.errors import ValidationError
 from circnoc.routing import AdaptiveMode, RouterConfig, trace_route
-from oracles import dp_min_wraps, ref_ring_profile
+from oracles import dp_min_wraps, ref_chip_capacity, ref_ring_profile
 
 C8 = RouterConfig(8, 1, 3)
 C16 = RouterConfig(16, 1, 7)
@@ -265,11 +265,38 @@ def test_chip_capacity_infeasible_reports_zero():
     assert report.binding_resource == "register"
 
 
+def test_chip_capacity_matches_linear_scan():
+    totals = (1, 10**3, 10**5, 10**7)
+    profiles = [ChipProfile()] + [
+        ChipProfile(alm_total=alm, reg_total=reg, budget_fraction=budget)
+        for alm in totals
+        for reg in totals
+        for budget in (0.01, 0.35, 1.0)
+    ]
+    for algorithm in ("table", "clockwise", "adaptive"):
+        for profile in profiles:
+            report = chip_capacity(DEFAULT_RESOURCE_MODEL, algorithm, profile)
+            got = (report.max_routers, report.binding_resource, report.alm_used, report.reg_used)
+            assert got == ref_chip_capacity(DEFAULT_RESOURCE_MODEL, algorithm, profile), (
+                algorithm, profile,
+            )
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [(0, 1, 0), (0.0, 2.0, -0.5), (0.0, 1.0, float("nan")), (float("inf"), 1.0, 1.0)],
+)
+def test_quadratic_cost_must_open_upward(coefficients):
+    with pytest.raises(ValidationError):
+        QuadraticCost(*coefficients)
+
+
 def test_custom_resource_model():
+    # alm = x + (x - 7)(x - 10) / 8: 7 at x = 7, 10 at x = 10, 11.5 at x = 11
     model = ResourceModel(
         curves={
-            ("table", "alm"): QuadraticCost(0.0, 1.0, 0.0),
-            ("table", "register"): QuadraticCost(0.0, 2.0, 0.0),
+            ("table", "alm"): QuadraticCost(8.75, -1.125, 0.125),
+            ("table", "register"): QuadraticCost(0.0, 2.0, 0.125),
         }
     )
     assert resource_usage(model, "table", "alm", 7) == 7.0

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -207,6 +210,34 @@ def test_capacity_command(capsys, tmp_path):
     assert payload == json.loads(chip_capacity(DEFAULT_RESOURCE_MODEL, "adaptive").to_json())
 
 
+def test_capacity_with_huge_totals_bisects(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "capacity", "--algorithm", "clockwise",
+        "--alm-total", "200000000000000", "--reg-total", "200000000000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "max routers = 12699986" in out
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("capacity", "--algorithm", "table", "--alm-total", HUGE),
+        ("resources", "--algorithm", "table", "--x", HUGE),
+        ("figure", "--id", "resources", "--values", HUGE),
+    ],
+)
+def test_integer_beyond_float_range_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_capacity_budget_flag(capsys):
     code, out, _ = run(capsys, "capacity", "--algorithm", "table", "--budget", "0.3")
     assert code == 0
@@ -318,3 +349,20 @@ def test_topo_json_format_is_a_usage_error(capsys, tmp_path):
     )
     assert code == 1
     assert "usage:" in err
+
+
+def test_runtime_imports_only_the_standard_library():
+    # site hooks load before circnoc, so only modules new after the
+    # import count; each must be circnoc itself or part of the stdlib
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import circnoc, circnoc.cli\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(new - {'circnoc'} - set(sys.stdlib_module_names)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

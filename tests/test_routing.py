@@ -15,23 +15,19 @@ from circnoc.routing import (
     CORRECTED,
     AdaptiveMode,
     RouterConfig,
-    adaptive_step,
-    arithmetic_min_hops,
     build_routing_table,
-    candidate_form_hops,
     clockwise_hop_count,
-    clockwise_step,
-    head_flit_address,
     payload_bits,
-    port_for_step,
-    step_cycles,
-    step_for_port,
-    table_next_hop,
     trace_route,
 )
-from circnoc.routing import _scan
-from circnoc.topology import CirculantSpec, bfs_distances, build_circulant
-from oracles import ref_adaptive_walk, ref_ring_profile, ref_step_cycles, ring_s2_values
+from circnoc.routing import _adaptive_delta, _clockwise_delta, _scan, _shortest_port
+from circnoc.topology import (
+    CirculantSpec,
+    bfs_distances,
+    build_circulant,
+    circulant_distance_profile,
+)
+from oracles import ref_adaptive_delta, ref_adaptive_walk, ref_ring_profile, ring_s2_values
 
 C8 = RouterConfig(8, 1, 3)
 C16 = RouterConfig(16, 1, 7)
@@ -49,7 +45,6 @@ def test_router_config_rejects_invalid(n, s1, s2):
 def test_router_config_from_spec():
     cfg = RouterConfig.from_spec(CirculantSpec(8, (1, 3)))
     assert (cfg.n, cfg.s1, cfg.s2) == (8, 1, 3)
-    assert cfg.spec == CirculantSpec(8, (1, 3))
     with pytest.raises(ValidationError):
         RouterConfig.from_spec(CirculantSpec(9, (2, 3)))
     with pytest.raises(ValidationError):
@@ -75,20 +70,11 @@ def test_payload_bits_rejects_tiny_n():
         payload_bits(1)
 
 
-def test_port_for_step_clockwise_numbering():
-    assert port_for_step(1, C8) == 0
-    assert port_for_step(3, C8) == 1
-    assert port_for_step(-1, C8) == 2
-    assert port_for_step(-3, C8) == 3
-    with pytest.raises(ValidationError):
-        port_for_step(2, C8)
-
-
-def test_step_for_port_roundtrip():
-    for port in range(4):
-        assert port_for_step(step_for_port(port, C16), C16) == port
-    with pytest.raises(ValidationError):
-        step_for_port(4, C16)
+def test_port_steps_clockwise_numbering():
+    assert C8.port_steps() == (1, 3, -1, -3)
+    # trace_route maps a rule's step back to its port with steps.index
+    steps = C16.port_steps()
+    assert [steps.index(steps[port]) for port in range(4)] == [0, 1, 2, 3]
 
 
 def test_adaptive_mode_validation():
@@ -97,21 +83,6 @@ def test_adaptive_mode_validation():
         AdaptiveMode("sideways")
     with pytest.raises(ValidationError):
         AdaptiveMode("corrected", 1)
-
-
-def test_head_flit_address_payloads():
-    assert head_flit_address("table", 3, 7, C8).value == 7
-    assert head_flit_address("adaptive", 3, 7, C8).value == 7
-    # clockwise carries the residual difference instead of the node id
-    assert head_flit_address("clockwise", 6, 2, C8).value == 4
-    for algorithm in ("table", "clockwise", "adaptive"):
-        for src in range(8):
-            for dst in range(8):
-                flit = head_flit_address(algorithm, src, dst, C8)
-                assert flit.bits == payload_bits(8) == 3
-                assert 0 <= flit.value < 2 ** flit.bits
-    with pytest.raises(ValidationError):
-        head_flit_address("compass", 0, 1, C8)
 
 
 # --- table routing -------------------------------------------------------------
@@ -159,23 +130,24 @@ def test_routing_table_rejects_delivered_packet_without_asserts():
 @pytest.mark.parametrize("cfg", [C8, C16, RouterConfig(11, 1, 4), RouterConfig(30, 1, 13)])
 def test_routing_table_descends_toward_destination(cfg):
     table = build_routing_table(cfg)
-    graph = build_circulant(cfg.spec)
+    graph = build_circulant(CirculantSpec(cfg.n, (cfg.s1, cfg.s2)))
     for dst in range(cfg.n):
         dist = bfs_distances(graph, dst)
         for src in range(cfg.n):
             if src == dst:
                 continue
-            nxt, port = table_next_hop(table, src, dst)
+            port = table.port(src, dst)
+            nxt = (src + cfg.port_steps()[port]) % cfg.n
             assert port == table.entries[src][dst]
             assert dist[nxt] == dist[src] - 1
 
 
-def test_table_next_hop_examples():
-    table = build_routing_table(C8)
-    assert table_next_hop(table, 0, 3) == (3, 1)
-    assert table_next_hop(table, 7, 0) == (0, 0)
+def test_table_first_hop_examples():
+    for src, dst, hop in [(0, 3, (3, 1)), (7, 0, (0, 0))]:
+        trace = trace_route("table", src, dst, C8)
+        assert (trace.nodes[1], trace.ports[0]) == hop
     with pytest.raises(ValidationError, match="delivered"):
-        table_next_hop(table, 5, 5)
+        build_routing_table(C8).port(5, 5)
 
 
 def test_routing_table_csv():
@@ -190,10 +162,10 @@ def test_routing_table_csv():
 
 # --- clockwise routing -----------------------------------------------------------
 
-def test_clockwise_step_examples():
-    assert clockwise_step(0, 4, C8) == 3   # difference 4 <= n/2 and >= s2
-    assert clockwise_step(5, 5, C8) == 5
-    assert clockwise_step(0, 7, C8) == 7   # backward regime, unit step
+def test_clockwise_first_hop_examples():
+    assert trace_route("clockwise", 0, 4, C8).nodes[1] == 3   # difference 4 <= n/2 and >= s2
+    assert trace_route("clockwise", 5, 5, C8).nodes == (5,)
+    assert trace_route("clockwise", 0, 7, C8).nodes[1] == 7   # backward regime, unit step
 
 
 def test_clockwise_unit_step_regime_trace():
@@ -201,7 +173,7 @@ def test_clockwise_unit_step_regime_trace():
     assert trace.nodes == (0, 1, 2, 3, 4, 5, 6)
     assert trace.hops == 6
     # the shortest path (+7, -1) has 2 hops; clockwise trades hops for state
-    assert bfs_distances(build_circulant(C16.spec), 0)[6] == 2
+    assert bfs_distances(build_circulant(CirculantSpec(16, (1, 7))), 0)[6] == 2
 
 
 def test_clockwise_matches_closed_form_and_oracle():
@@ -219,7 +191,7 @@ def test_clockwise_matches_closed_form_and_oracle():
 def test_clockwise_never_flips_regime():
     for cfg, src, dst in [(C16, 3, 11), (C16, 11, 3), (C100, 0, 70), (C8, 2, 6)]:
         trace = trace_route("clockwise", src, dst, cfg)
-        deltas = {step_for_port(p, cfg) > 0 for p in trace.ports}
+        deltas = {cfg.port_steps()[p] > 0 for p in trace.ports}
         assert len(deltas) == 1
 
 
@@ -233,24 +205,25 @@ def test_clockwise_translation_invariance(n, data):
     u = data.draw(st.integers(min_value=0, max_value=n - 1))
     v = data.draw(st.integers(min_value=0, max_value=n - 1))
     t = data.draw(st.integers(min_value=0, max_value=n - 1))
-    shifted = clockwise_step((u + t) % n, (v + t) % n, cfg)
-    assert shifted == (clockwise_step(u, v, cfg) + t) % n
+    if u == v:
+        return
+    assert _clockwise_delta((u + t) % n, (v + t) % n, cfg) == _clockwise_delta(u, v, cfg)
 
 
 # --- adaptive routing --------------------------------------------------------------
 
 def test_step_cycles_two_wrap_candidate_wins():
     # counter-clockwise two-wrap candidate: (263 // 44) - 263 % 44 + 45 = 7
-    assert step_cycles(0, 37, C100, CORRECTED) == -44
+    assert _adaptive_delta(0, 37, C100, CORRECTED) == -44
 
 
 def test_step_cycles_short_hop_prefers_unit_step():
-    assert step_cycles(0, 5, C100, CORRECTED) == 1
+    assert _adaptive_delta(0, 5, C100, CORRECTED) == 1
 
 
 def test_step_cycles_exact_multiple_takes_long_step():
-    assert step_cycles(0, 3, C8, CORRECTED) == 3
-    assert step_cycles(0, 3, C8, AS_PRINTED) == 3
+    assert _adaptive_delta(0, 3, C8, CORRECTED) == 3
+    assert _adaptive_delta(0, 3, C8, AS_PRINTED) == 3
 
 
 def test_step_cycles_matches_reference_scan_exhaustively():
@@ -264,48 +237,41 @@ def test_step_cycles_matches_reference_scan_exhaustively():
             cfg = RouterConfig(n, 1, s2)
             for mode in modes:
                 for s in range(1, n):
-                    if step_cycles(0, s, cfg, mode) != ref_step_cycles(0, s, cfg, mode):
+                    if _adaptive_delta(0, s, cfg, mode) != ref_adaptive_delta(0, s, cfg, mode):
                         mismatches.append((n, s2, s, mode))
     assert mismatches == []
-
-
-def test_step_cycles_requires_ordered_distinct_nodes():
-    with pytest.raises(ValidationError):
-        step_cycles(4, 4, C8)
-    with pytest.raises(ValidationError):
-        step_cycles(5, 2, C8)
 
 
 def test_printed_variant_reproduces_original_first_step():
     # the printed counter-clockwise seed S + n evaluates 137 -> best 8 via
     # the unit step, tying the clockwise side and sending the packet to 99;
     # the corrected seed n - S finds the 7-hop wrapped route via -44
-    assert adaptive_step(0, 37, C100, AS_PRINTED) == 99
-    assert adaptive_step(0, 37, C100, CORRECTED) == 56
+    assert trace_route("adaptive", 0, 37, C100, AS_PRINTED).nodes[1] == 99
+    assert trace_route("adaptive", 0, 37, C100, CORRECTED).nodes[1] == 56
 
 
 def test_adaptive_delivers_in_place():
-    assert adaptive_step(5, 5, C100) == 5
+    assert trace_route("adaptive", 5, 5, C100).nodes == (5,)
 
 
 def test_adaptive_first_step_stays_on_shortest_path():
-    nxt = adaptive_step(0, 4, C8)
-    dist = bfs_distances(build_circulant(C8.spec), 4)
+    nxt = trace_route("adaptive", 0, 4, C8).nodes[1]
+    dist = bfs_distances(build_circulant(CirculantSpec(8, (1, 3))), 4)
     assert dist[nxt] == dist[0] - 1 == 1
 
 
-def test_adaptive_step_depends_only_on_ordered_difference():
+def test_adaptive_delta_depends_only_on_ordered_difference():
     for cfg in (C8, C16, C100):
         n = cfg.n
         for diff in (1, 2, cfg.s2, cfg.s2 + 1, n // 2, n - 2):
-            base_low = adaptive_step(0, diff % n, cfg)
-            base_high = adaptive_step(diff % n, 0, cfg)
+            up = _adaptive_delta(0, diff, cfg, CORRECTED)
+            down = _adaptive_delta(diff, 0, cfg, CORRECTED)
             for u in range(0, n - diff, max(1, n // 7)):
                 v = u + diff
                 if v >= n:
                     continue
-                assert adaptive_step(u, v, cfg) == (u + base_low) % n
-                assert adaptive_step(v, u, cfg) == (v + (base_high - diff)) % n
+                assert _adaptive_delta(u, v, cfg, CORRECTED) == up
+                assert _adaptive_delta(v, u, cfg, CORRECTED) == down
 
 
 def test_adaptive_traces_are_shortest_when_wraps_covered():
@@ -336,7 +302,7 @@ def test_corrected_adaptive_hop_lowers_its_scan_value():
                 for u in range(n):
                     for v in range(n):
                         if u != v:
-                            nxt = adaptive_step(u, v, cfg, mode)
+                            nxt = (u + _adaptive_delta(u, v, cfg, mode)) % n
                             assert value[abs(v - nxt)] <= value[abs(v - u)] - 1, (cfg, mode, u, v)
 
 
@@ -366,7 +332,7 @@ def test_trace_ports_replay_to_nodes():
             node = src
             replay = [node]
             for port in trace.ports:
-                node = (node + step_for_port(port, C8)) % C8.n
+                node = (node + C8.port_steps()[port]) % C8.n
                 replay.append(node)
             assert tuple(replay) == trace.nodes
             assert trace.nodes[0] == src and trace.nodes[-1] == dst
@@ -380,7 +346,7 @@ def test_trace_table_agrees_with_routing_table():
         node = src
         for port in trace.ports:
             assert port == table.entries[node][dst]
-            node, _ = table_next_hop(table, node, dst)
+            node = (node + C16.port_steps()[port]) % C16.n
 
 
 def test_trace_livelock_error_names_cycle():
@@ -395,7 +361,7 @@ def test_trace_livelock_error_names_cycle():
 
 def test_memoized_traces_follow_the_per_hop_helpers():
     # trace_route reads each port from the config's memo; every trace must
-    # still be the node-by-node walk of the per-hop helper.  One config per
+    # still be the node-by-node walk of the per-hop rule.  One config per
     # (n, s2) serves every ordered pair, and its adaptive memo is first
     # filled at max_cycles=2, so a memo shared between modes would show at
     # 3.  C(41; 1, 19) is the smallest ring circulant on which the two
@@ -407,15 +373,15 @@ def test_memoized_traces_follow_the_per_hop_helpers():
         for v in range(1, n):
             trace_route("adaptive", 0, v, cfg, warm)
             trace_route("adaptive", v, 0, cfg, warm)
-        table = build_routing_table(cfg)
-        helpers = {
-            "table": lambda u, v: table_next_hop(table, u, v)[0],
-            "clockwise": lambda u, v: clockwise_step(u, v, cfg),
-            "adaptive": lambda u, v: adaptive_step(u, v, cfg, mode),
+        profile, steps = circulant_distance_profile(n, (1, cfg.s2)), cfg.port_steps()
+        rules = {
+            "table": lambda u, v: steps[_shortest_port(profile, steps, (v - u) % n, n)],
+            "clockwise": lambda u, v: _clockwise_delta(u, v, cfg),
+            "adaptive": lambda u, v: _adaptive_delta(u, v, cfg, mode),
         }
-        for algorithm, step in helpers.items():
+        for algorithm, delta in rules.items():
             for v in range(n):
-                nxt = [step(u, v) if u != v else v for u in range(n)]
+                nxt = [(u + delta(u, v)) % n if u != v else v for u in range(n)]
                 for u in range(n):
                     nodes = trace_route(algorithm, u, v, cfg, mode).nodes
                     assert nodes[0] == u and nodes[-1] == v, (algorithm, cfg, u, v)
@@ -466,23 +432,23 @@ def test_trace_json_shape():
 
 # --- closed-form candidates ----------------------------------------------------------
 
-def test_candidate_form_hops():
-    assert candidate_form_hops(37, 44) == (37, 8)
-    assert candidate_form_hops(263, 44) == (48, 7)
-    assert candidate_form_hops(12, 3) == (4, 8)
+def test_unwrapped_scan_takes_the_shorter_candidate_form():
+    # max_wraps=0 keeps the unwrapped pair: q + r hops, or q - r + s2 + 1
+    # hops by overshooting with one more long step
+    assert _scan(37, 100, 44, 0) == (8, 0, False)    # forms (37, 8)
+    assert _scan(263, 100, 44, 0) == (7, 0, False)   # forms (48, 7)
+    assert _scan(12, 100, 3, 0) == (4, 0, False)     # forms (4, 8), no remainder
+    assert _scan(5, 100, 44, 0) == (5, 0, True)      # forms (5, 40), unit steps
 
 
 def test_candidate_enumeration_reaches_bfs_distance():
     for n, s2 in [(8, 3), (16, 7), (30, 7), (45, 22), (100, 44)]:
-        cfg = RouterConfig(n, 1, s2)
         profile = ref_ring_profile(n, s2)
         for offset in range(1, n):
-            exact = arithmetic_min_hops(offset, cfg, max_wraps=None)
+            exact = min(_scan(b, n, s2)[0] for b in (offset, n - offset))
             assert exact == profile[offset]
-            bounded = arithmetic_min_hops(offset, cfg, max_wraps=4)
+            bounded = min(_scan(b, n, s2, 4)[0] for b in (offset, n - offset))
             assert bounded >= exact
-    with pytest.raises(ValidationError):
-        arithmetic_min_hops(0, C8)
 
 
 @given(st.integers(min_value=5, max_value=150), st.data())

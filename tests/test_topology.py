@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from circnoc import topology
 from circnoc.errors import DisconnectedGraphError, ValidationError
-from circnoc.routing import RouterConfig, arithmetic_min_hops
+from circnoc.routing import _scan
 from circnoc.topology import (
     CirculantSpec,
     Graph,
@@ -337,9 +337,8 @@ def test_diameter_matches_candidate_enumeration():
     # BFS diameter for every ring circulant up to n = 200
     for n in range(5, 201, 3):
         for s2 in ring_s2_values(n):
-            cfg = RouterConfig(n, 1, s2)
             profile = circulant_distance_profile(n, (1, s2))
-            arith = max(arithmetic_min_hops(s, cfg, max_wraps=None) for s in range(1, n))
+            arith = max(min(_scan(s, n, s2)[0], _scan(n - s, n, s2)[0]) for s in range(1, n))
             assert arith == max(profile), (n, s2)
 
 
