@@ -70,11 +70,21 @@ def test_payload_bits_rejects_tiny_n():
         payload_bits(1)
 
 
-def test_port_steps_clockwise_numbering():
-    assert C8.port_steps() == (1, 3, -1, -3)
-    # trace_route maps a rule's step back to its port with steps.index
+def test_port_for_step_clockwise_numbering():
+    # port p steps by port_steps()[p]; trace_route maps a step back with steps.index
+    steps = C8.port_steps()
+    assert steps.index(1) == 0
+    assert steps.index(3) == 1
+    assert steps.index(-1) == 2
+    assert steps.index(-3) == 3
+    assert 2 not in steps
+
+
+def test_step_for_port_roundtrip():
     steps = C16.port_steps()
-    assert [steps.index(steps[port]) for port in range(4)] == [0, 1, 2, 3]
+    for port in range(4):
+        assert steps.index(steps[port]) == port
+    assert len(steps) == 4
 
 
 def test_adaptive_mode_validation():
