@@ -25,7 +25,7 @@ from .analysis import (
     route_cycle_count,
     table_memory_bits,
 )
-from .errors import DisconnectedGraphError, LivelockError, ValidationError
+from .errors import LivelockError, ValidationError
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -53,7 +53,6 @@ from .topology import (
     ComparisonRow,
     Graph,
     TopologyMetrics,
-    bfs_distances,
     build_circulant,
     build_mesh,
     build_torus,

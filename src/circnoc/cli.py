@@ -4,8 +4,10 @@ Every subcommand is a thin wrapper: it parses flags, calls one library
 operation, prints a human-readable summary, and writes machine artifacts
 only when ``--out`` is given.  Exit codes: 0 success; 1 validation,
 usage or output-file error, or a route that livelocks (revisits a node, as
-the printed adaptive variant can; the error names the cycle); 2 internal
-failure, and ``fuzz`` when it finds a livelock.
+the printed adaptive variant can; the error names the cycle); 2 an
+unexpected exception (its traceback is printed), and ``fuzz`` when it
+finds a livelock.  Clockwise and adaptive ``route`` work on a ring of any
+size; table routing reads an n-entry distance profile.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import traceback
 from pathlib import Path
 
 from . import analysis, harness, routing, topology
-from .errors import DisconnectedGraphError, LivelockError, ValidationError
+from .errors import LivelockError, ValidationError
 
 __all__ = ["main", "build_parser"]
 
@@ -365,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, OSError, LivelockError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DisconnectedGraphError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
     except Exception:
         traceback.print_exc()
         return 2

@@ -5,14 +5,6 @@ class ValidationError(ValueError):
     """An input violates a documented precondition."""
 
 
-class DisconnectedGraphError(RuntimeError):
-    """A distance computation reached a node cut off from the source."""
-
-    def __init__(self, message: str, unreachable: int | None = None):
-        super().__init__(message)
-        self.unreachable = unreachable
-
-
 class LivelockError(RuntimeError):
     """A deterministic route revisited a node, so it never arrives."""
 

@@ -71,7 +71,6 @@ class ExperimentConfig:
     values: tuple[int, ...] = ()
     selection: str = "best_ring"
     mode: AdaptiveMode = CORRECTED
-    algorithms: tuple[str, ...] = ALGORITHMS
     out_path: str | Path | None = None
     out_format: str = "csv"
 
@@ -94,9 +93,6 @@ class ExperimentConfig:
             raise ValidationError(f"unknown output format {self.out_format!r}")
         if self.figure == "capacity" and self.out_format != "json":
             raise ValidationError("the capacity report is a JSON artifact")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ValidationError(f"unknown algorithms {unknown}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ def _rows_efficiency(config: ExperimentConfig) -> list[tuple]:
     rows = []
     for n in sorted(set(config.values)):
         cfg = _best_ring_cfg(n)
-        for algorithm in config.algorithms:
+        for algorithm in ALGORITHMS:
             rows.append((n, cfg.s2, algorithm, efficiency_k(cfg, algorithm, config.mode).k))
     return rows
 
@@ -163,7 +159,7 @@ def _rows_memory(config: ExperimentConfig) -> list[tuple]:
 def _rows_resources(config: ExperimentConfig) -> list[tuple]:
     rows = []
     for x in sorted(set(config.values)):
-        for algorithm in config.algorithms:
+        for algorithm in ALGORITHMS:
             rows.append(
                 (
                     x,
@@ -177,7 +173,7 @@ def _rows_resources(config: ExperimentConfig) -> list[tuple]:
 
 def _rows_capacity(config: ExperimentConfig) -> list[tuple]:
     profile = ChipProfile()
-    return [astuple(chip_capacity(DEFAULT_RESOURCE_MODEL, a, profile)) for a in config.algorithms]
+    return [astuple(chip_capacity(DEFAULT_RESOURCE_MODEL, a, profile)) for a in ALGORITHMS]
 
 
 def _field_names(report: type) -> tuple[str, ...]:

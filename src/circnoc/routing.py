@@ -55,8 +55,8 @@ class RouterConfig:
     table and clockwise rules read d mod n, the adaptive rule reads |d|
     and the sign of d (its ties go counter-clockwise, so u -> v and
     v -> u can differ).  ``trace_route`` keeps each port it has decided in
-    this config's next-port memo, which is not a field: equality, hashing
-    and ``asdict`` see n, s1 and s2 only.
+    this config's next-port memo, a dict per rule keyed by d, which is not
+    a field: equality, hashing and ``asdict`` see n, s1 and s2 only.
     """
 
     n: int
@@ -84,13 +84,13 @@ class RouterConfig:
         return (self.s1, self.s2, -self.s1, -self.s2)
 
     @cached_property
-    def _next_ports(self) -> dict[object, list[int | None]]:
+    def _next_ports(self) -> dict[object, dict[int, int]]:
         """Next-port memo of ``trace_route``, living as long as this config.
 
-        One list per rule, keyed ``"table"``, ``"clockwise"`` or by the
-        ``AdaptiveMode``.  Each list has 2n slots indexed by d in (-n, n),
-        a negative d counting from the end, and a slot stays None until a
-        route first needs it.
+        One dict per rule, keyed ``"table"``, ``"clockwise"`` or by the
+        ``AdaptiveMode``.  Each maps d = dest - current in (-n, n) to its
+        port and gains an entry when a route first needs it, so it holds
+        no more entries than the hops routed.
         """
         return {}
 
@@ -126,10 +126,6 @@ class AdaptiveMode:
             )
         if self.max_cycles < 2:
             raise ValidationError(f"max_cycles must be >= 2, got {self.max_cycles}")
-
-    @property
-    def corrected(self) -> bool:
-        return self.variant == "corrected"
 
 
 CORRECTED = AdaptiveMode("corrected", 2)
@@ -352,8 +348,10 @@ def trace_route(
     Each hop's port depends on d = dst - current alone (the table and
     clockwise rules read d mod n, the adaptive rule |d| and its sign), so
     it is read from the config's next-port memo for this algorithm and
-    mode.  A slot is filled on first use from the rule itself:
-    ``_shortest_port``, ``_clockwise_delta`` or ``_adaptive_delta``.
+    mode, a dict keyed by d.  A missing d is filled on first use from the
+    rule itself: ``_shortest_port``, ``_clockwise_delta`` or
+    ``_adaptive_delta``.  Only the table rule reads an n-entry structure
+    (the distance profile); the others route on a ring of any size.
 
     Every router picks its next hop from (current, dest) alone, so a walk
     that revisits a node repeats forever.  A walk of n - 1 hops that has
@@ -385,17 +383,16 @@ def trace_route(
             return steps.index(_adaptive_delta(cur, dst, cfg, mode))
 
     key = mode if algorithm == "adaptive" else algorithm
-    memo = cfg._next_ports.get(key)
-    if memo is None:
-        memo = cfg._next_ports[key] = [None] * (2 * n)
+    memo = cfg._next_ports.setdefault(key, {})
     nodes = [src]
     ports = []
     current = src
     for _ in range(n - 1):
         if current == dst:
             break
-        port = memo[dst - current]
-        if port is None:
+        try:
+            port = memo[dst - current]
+        except KeyError:
             port = memo[dst - current] = rule(current)
         ports.append(port)
         current = (current + steps[port]) % n

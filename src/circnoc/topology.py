@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .errors import DisconnectedGraphError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "CirculantSpec",
@@ -28,7 +28,6 @@ __all__ = [
     "build_circulant",
     "build_mesh",
     "build_torus",
-    "bfs_distances",
     "metrics",
     "circulant_distance_profile",
     "formula_optimal_circulant",
@@ -90,17 +89,15 @@ class CirculantSpec:
 class Graph:
     """Immutable undirected graph as per-node sorted neighbor tuples.
 
-    The builders also record the structure that ``metrics`` exploits:
-    ``vertex_transitive`` for circulants and tori, ``mesh_shape`` (rows,
-    cols) for meshes.  A graph constructed directly carries neither, so its
-    metrics come from all-pairs BFS.
+    The builders also record ``params`` for ``metrics``: the generatrices
+    of a circulant, (rows, cols) of a mesh or torus.  It is no constructor
+    argument and no part of equality or repr.
     """
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
     kind: str
-    vertex_transitive: bool = field(default=False, init=False, repr=False, compare=False)
-    mesh_shape: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    params: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
@@ -175,7 +172,7 @@ def build_circulant(spec: CirculantSpec) -> Graph:
             near.add((v - s) % n)
         neighbors.append(tuple(sorted(near)))
     graph = Graph(n=n, neighbors=tuple(neighbors), kind="circulant")
-    object.__setattr__(graph, "vertex_transitive", True)
+    object.__setattr__(graph, "params", spec.generatrices)
     return graph
 
 
@@ -200,7 +197,7 @@ def build_mesh(rows: int, cols: int) -> Graph:
                 near.append((r + 1) * cols + c)
             neighbors.append(tuple(sorted(near)))
     graph = Graph(n=n, neighbors=tuple(neighbors), kind="mesh")
-    object.__setattr__(graph, "mesh_shape", (rows, cols))
+    object.__setattr__(graph, "params", (rows, cols))
     return graph
 
 
@@ -223,63 +220,41 @@ def build_torus(rows: int, cols: int) -> Graph:
             }
             neighbors.append(tuple(sorted(near)))
     graph = Graph(n=n, neighbors=tuple(neighbors), kind="torus")
-    object.__setattr__(graph, "vertex_transitive", True)
+    object.__setattr__(graph, "params", (rows, cols))
     return graph
-
-
-def bfs_distances(graph: Graph, src: int) -> list[int]:
-    """Hop distances from ``src`` to every node by breadth-first search."""
-    if not 0 <= src < graph.n:
-        raise ValidationError(f"source {src} out of range [0, {graph.n})")
-    dist = [-1] * graph.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    for v, d in enumerate(dist):
-        if d < 0:
-            raise DisconnectedGraphError(
-                f"node {v} is unreachable from {src}", unreachable=v
-            )
-    return dist
 
 
 def metrics(graph: Graph) -> TopologyMetrics:
     """Diameter, average distance, edge count, and max degree of a graph.
 
-    The distance sum over ordered pairs is exact integer arithmetic on
-    every path:
+    The distance total over ordered pairs is exact integer arithmetic on
+    the ``params`` that the builder recorded:
 
-    * a circulant or torus from its builder is vertex-transitive, so every
-      source sees the same distance multiset: one BFS from node 0 gives
-      the diameter, and ``n`` times its sum is the total;
-    * a mesh from ``build_mesh`` uses the closed form: row and column
-      offsets add, and ``sum(|i - j|)`` over ordered pairs of ``0..m-1`` is
-      ``(m**3 - m) / 3``, so the total is
-      ``cols**2 (rows**3 - rows) / 3 + rows**2 (cols**3 - cols) / 3`` and
-      the diameter ``rows + cols - 2``;
-    * any other graph takes one BFS per node, which raises
-      ``DisconnectedGraphError`` when it is not connected.
+    * circulant: vertex-transitive, so ``n * sum(profile)``, diameter
+      ``max(profile)``, from the cached ``circulant_distance_profile``;
+    * mesh: offsets add, and ``sum(|i - j|)`` over ordered pairs of
+      ``0..m-1`` is ``(m**3 - m) / 3``, so ``(cols**2 (rows**3 - rows) +
+      rows**2 (cols**3 - cols)) / 3``, diameter ``rows + cols - 2``;
+    * torus: an m-cycle's distances from one node sum to ``m**2 // 4``, so
+      ``n (cols (rows**2 // 4) + rows (cols**2 // 4))``, diameter
+      ``rows // 2 + cols // 2``.
+
+    A graph constructed directly has no ``params``; it raises
+    ``ValidationError`` rather than be trusted about its own structure.
     """
-    if graph.mesh_shape is not None:
-        rows, cols = graph.mesh_shape
+    if graph.params is None:
+        raise ValidationError(f"metrics needs a graph from a builder, not a hand-built {graph.kind!r}")
+    if graph.kind == "circulant":
+        profile = circulant_distance_profile(graph.n, graph.params)
+        total, diameter = graph.n * sum(profile), max(profile)
+    elif graph.kind == "mesh":
+        rows, cols = graph.params
         total = (cols * cols * (rows**3 - rows) + rows * rows * (cols**3 - cols)) // 3
         diameter = rows + cols - 2
-    elif graph.vertex_transitive:
-        dist = bfs_distances(graph, 0)
-        total = graph.n * sum(dist)
-        diameter = max(dist)
     else:
-        total = 0
-        diameter = 0
-        for src in range(graph.n):
-            dist = bfs_distances(graph, src)
-            total += sum(dist)
-            diameter = max(diameter, max(dist))
+        rows, cols = graph.params
+        total = graph.n * (cols * (rows * rows // 4) + rows * (cols * cols // 4))
+        diameter = rows // 2 + cols // 2
     pairs = graph.n * (graph.n - 1)
     return TopologyMetrics(
         diameter=diameter,
@@ -294,9 +269,10 @@ def circulant_distance_profile(n: int, generatrices: tuple[int, ...]) -> tuple[i
     """Hop distances from node 0 to every node of C(n; generatrices).
 
     Circulants are vertex-transitive: d(u, v) == profile[(v - u) mod n],
-    so one profile answers every all-pairs question.  Routing tables and
-    the analysis fill this cache; the topology searches rank candidates
-    by their tent envelopes and never read it.
+    so one profile answers every all-pairs question.  This is the
+    package's only BFS.  ``metrics``, routing tables and the analysis fill
+    this cache; the topology searches rank candidates by their tent
+    envelopes and never read it.
     """
     CirculantSpec(n, generatrices)
     steps = []

@@ -93,6 +93,20 @@ def test_route_with_huge_wrap_bound_stops_scanning(capsys):
     assert "0 -> 56 -> 12 -> 68 -> 24 -> 80 -> 36 -> 37" in out
 
 
+@pytest.mark.parametrize(
+    "algorithm, path", [("clockwise", "0 -> 3 -> 4 -> 5"), ("adaptive", "0 -> 3 -> 6 -> 5")]
+)
+def test_route_on_a_huge_ring_memoizes_only_the_hops_it_routes(capsys, algorithm, path):
+    # the next-port memo is a dict keyed by dst - current, so nothing the
+    # size of n is allocated before the first hop
+    code, out, _ = run(
+        capsys, "route", "--algorithm", algorithm,
+        "--circulant", "1000000000000000000000000000000,1,3", "--src", "0", "--dst", "5",
+    )
+    assert code == 0
+    assert path in out and "hops = 3" in out
+
+
 def test_printed_adaptive_livelock_in_figure_exits_one(capsys):
     code, _, err = run(
         capsys, "figure", "--id", "efficiency", "--values", "100", "--mode", "printed",
@@ -149,6 +163,8 @@ def test_compare_prints_rows_and_writes_csv(capsys, tmp_path):
 
 
 PINNED_SHA256 = Path(__file__).resolve().parent.parent / "benchmarks" / "pinned_sha256.json"
+# the paper's sweeps, as the benchmark passes them
+SQUARES = ",".join(str(side * side) for side in range(3, 24))
 
 
 @pytest.mark.parametrize(
@@ -156,6 +172,11 @@ PINNED_SHA256 = Path(__file__).resolve().parent.parent / "benchmarks" / "pinned_
     [
         (["compare", "--sides", "10..16", "--selection", "best_general"], ("design_search_csv",)),
         (["figure", "--id", "topology_metrics", "--values", "3..23"], ("figures", "topology_metrics")),
+        (["figure", "--id", "cycles", "--values", "5..200"], ("figures", "cycles")),
+        (["figure", "--id", "efficiency", "--values", SQUARES], ("figures", "efficiency")),
+        (["figure", "--id", "memory", "--values", SQUARES], ("figures", "memory")),
+        (["figure", "--id", "resources", "--values", SQUARES], ("figures", "resources")),
+        (["figure", "--id", "capacity"], ("figures", "capacity")),
     ],
 )
 def test_comparison_artifacts_match_pinned_bytes(capsys, tmp_path, argv, key):

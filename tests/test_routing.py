@@ -21,13 +21,8 @@ from circnoc.routing import (
     trace_route,
 )
 from circnoc.routing import _adaptive_delta, _clockwise_delta, _scan, _shortest_port
-from circnoc.topology import (
-    CirculantSpec,
-    bfs_distances,
-    build_circulant,
-    circulant_distance_profile,
-)
-from oracles import ref_adaptive_delta, ref_adaptive_walk, ref_ring_profile, ring_s2_values
+from circnoc.topology import CirculantSpec, build_circulant, circulant_distance_profile
+from oracles import ref_adaptive_delta, ref_adaptive_walk, ref_bfs, ref_ring_profile, ring_s2_values
 
 C8 = RouterConfig(8, 1, 3)
 C16 = RouterConfig(16, 1, 7)
@@ -142,7 +137,7 @@ def test_routing_table_descends_toward_destination(cfg):
     table = build_routing_table(cfg)
     graph = build_circulant(CirculantSpec(cfg.n, (cfg.s1, cfg.s2)))
     for dst in range(cfg.n):
-        dist = bfs_distances(graph, dst)
+        dist = ref_bfs(graph.neighbors, dst)
         for src in range(cfg.n):
             if src == dst:
                 continue
@@ -183,7 +178,7 @@ def test_clockwise_unit_step_regime_trace():
     assert trace.nodes == (0, 1, 2, 3, 4, 5, 6)
     assert trace.hops == 6
     # the shortest path (+7, -1) has 2 hops; clockwise trades hops for state
-    assert bfs_distances(build_circulant(CirculantSpec(16, (1, 7))), 0)[6] == 2
+    assert ref_bfs(build_circulant(CirculantSpec(16, (1, 7))).neighbors, 0)[6] == 2
 
 
 def test_clockwise_matches_closed_form_and_oracle():
@@ -266,7 +261,7 @@ def test_adaptive_delivers_in_place():
 
 def test_adaptive_first_step_stays_on_shortest_path():
     nxt = trace_route("adaptive", 0, 4, C8).nodes[1]
-    dist = bfs_distances(build_circulant(CirculantSpec(8, (1, 3))), 4)
+    dist = ref_bfs(build_circulant(CirculantSpec(8, (1, 3))).neighbors, 4)
     assert dist[nxt] == dist[0] - 1 == 1
 
 

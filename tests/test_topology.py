@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circnoc import topology
-from circnoc.errors import DisconnectedGraphError, ValidationError
+from circnoc.errors import ValidationError
 from circnoc.routing import _scan
 from circnoc.topology import (
     CirculantSpec,
     Graph,
-    bfs_distances,
     build_circulant,
     build_mesh,
     build_torus,
@@ -131,35 +130,11 @@ def test_torus_rejects_small_dims(rows, cols):
 # --- distances and metrics -------------------------------------------------
 
 def test_bfs_c8_13_profile():
-    g = build_circulant(CirculantSpec(8, (1, 3)))
-    assert bfs_distances(g, 0) == [0, 1, 2, 1, 2, 1, 2, 1]
-
-
-def test_bfs_source_is_zero():
-    g = build_mesh(4, 5)
-    for src in range(g.n):
-        assert bfs_distances(g, src)[src] == 0
+    assert circulant_distance_profile(8, (1, 3)) == (0, 1, 2, 1, 2, 1, 2, 1)
 
 
 def test_bfs_mesh_corner_reaches_opposite_corner_in_four():
-    g = build_mesh(3, 3)
-    assert max(bfs_distances(g, 0)) == 4
-
-
-def test_bfs_rejects_bad_source():
-    g = build_mesh(2, 2)
-    with pytest.raises(ValidationError):
-        bfs_distances(g, 4)
-
-
-def test_bfs_reports_unreachable_node():
-    g = Graph(n=4, neighbors=((1,), (0,), (3,), (2,)), kind="custom")
-    with pytest.raises(DisconnectedGraphError) as exc:
-        bfs_distances(g, 0)
-    assert exc.value.unreachable in (2, 3)
-    assert str(exc.value.unreachable) in str(exc.value)
-    with pytest.raises(DisconnectedGraphError):
-        metrics(g)
+    assert metrics(build_mesh(3, 3)).diameter == 4
 
 
 def test_metrics_c8_13():
@@ -215,9 +190,9 @@ def test_metrics_one_bfs_matches_oracle_for_every_ring_circulant():
         _assert_metrics_match_oracle(build_circulant(spec))
 
 
-def test_metrics_one_bfs_matches_oracle_for_every_torus():
-    for rows in range(3, 9):
-        for cols in range(3, 9):
+def test_metrics_closed_form_matches_oracle_for_every_torus():
+    for rows in range(3, 16):
+        for cols in range(3, 16):
             _assert_metrics_match_oracle(build_torus(rows, cols))
 
 
@@ -228,14 +203,14 @@ def test_metrics_closed_form_matches_oracle_for_every_mesh():
                 _assert_metrics_match_oracle(build_mesh(rows, cols))
 
 
-def test_metrics_of_a_hand_built_graph_takes_all_pairs_bfs():
-    # A path built as a plain Graph carries no structure marks.  Its total
-    # distance is 20; one BFS from node 0 times n would give 4 * 6 = 24.
+def test_metrics_of_a_hand_built_graph_is_rejected():
+    # A path built as a plain Graph has no builder params, so metrics
+    # refuses it even though it equals the 1 x 4 mesh.
     path = Graph(n=4, neighbors=((1,), (0, 2), (1, 3), (2,)), kind="mesh")
-    assert not path.vertex_transitive and path.mesh_shape is None
+    assert path.params is None
     assert path == build_mesh(1, 4)
-    m = metrics(path)
-    assert (m.diameter, m.avg_distance) == (3, 20 / 12)
+    with pytest.raises(ValidationError, match="hand-built 'mesh'"):
+        metrics(path)
 
 
 def _connected_pairs(n):
@@ -289,19 +264,19 @@ def test_circulant_profile_matches_graph_bfs():
     for n, gens in [(8, (1, 3)), (16, (1, 7)), (15, (2, 4)), (30, (1, 14))]:
         g = build_circulant(CirculantSpec(n, gens))
         profile = circulant_distance_profile(n, gens)
-        assert list(profile) == bfs_distances(g, 0)
+        assert list(profile) == ref_bfs(g.neighbors, 0)
         # vertex transitivity: shifting the source shifts the profile
         for src in (1, n // 2, n - 1):
-            dist = bfs_distances(g, src)
+            dist = ref_bfs(g.neighbors, src)
             assert all(dist[(src + off) % n] == profile[off] for off in range(n))
 
 
 def test_vertex_transitivity_distance_multisets():
     for n, gens in [(9, (1, 3)), (20, (3, 7)), (25, (1, 7)), (48, (1, 20)), (100, (1, 44))]:
         g = build_circulant(CirculantSpec(n, gens))
-        base = sorted(bfs_distances(g, 0))
+        base = sorted(ref_bfs(g.neighbors, 0))
         for src in range(1, n):
-            assert sorted(bfs_distances(g, src)) == base
+            assert sorted(ref_bfs(g.neighbors, src)) == base
 
 
 @given(
