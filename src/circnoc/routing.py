@@ -351,7 +351,9 @@ def trace_route(
     mode, a dict keyed by d.  A missing d is filled on first use from the
     rule itself: ``_shortest_port``, ``_clockwise_delta`` or
     ``_adaptive_delta``.  Only the table rule reads an n-entry structure
-    (the distance profile); the others route on a ring of any size.
+    (the distance profile), fetched on its first miss and at most once per
+    trace, so a warm trace never asks for it; the others route on a ring
+    of any size.
 
     Every router picks its next hop from (current, dest) alone, so a walk
     that revisits a node repeats forever.  A walk of n - 1 hops that has
@@ -367,9 +369,12 @@ def trace_route(
 
     steps = cfg.port_steps()
     if algorithm == "table":
+        profile = None
 
         def rule(cur: int) -> int:
-            profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
+            nonlocal profile
+            if profile is None:
+                profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
             return _shortest_port(profile, steps, (dst - cur) % n, n)
 
     elif algorithm == "clockwise":

@@ -272,14 +272,18 @@ def circulant_distance_profile(n: int, generatrices: tuple[int, ...]) -> tuple[i
     so one profile answers every all-pairs question.  This is the
     package's only BFS.  ``metrics``, routing tables and the analysis fill
     this cache; the topology searches rank candidates by their tent
-    envelopes and never read it.
+    envelopes and never read it.  An n whose n-entry list cannot be
+    allocated raises ``ValidationError``.
     """
     CirculantSpec(n, generatrices)
     steps = []
     for s in generatrices:
         steps.append(s)
         steps.append(n - s)
-    dist = [-1] * n
+    try:
+        dist = [-1] * n
+    except (OverflowError, MemoryError):
+        raise ValidationError(f"n={n} is too large for an n-entry distance profile") from None
     dist[0] = 0
     queue = deque([0])
     while queue:
@@ -408,14 +412,46 @@ def _pair_key(n: int, s1: int, s2: int, bound: int) -> tuple[int, int]:
     return diameter, total
 
 
+def _layer_floor(n: int) -> tuple[int, int]:
+    """Least (diameter, total distance) any C(n; s1, s2) can have.
+
+    The nodes at distance d from 0 are among the ``x s1 + y s2`` with
+    ``|x| + |y| = d``, and there are 4d such (x, y) for d >= 1 (Boesch &
+    Wang, 1985).  So no layer holds more than 4d nodes, and the greedy fill,
+    4d nodes at each distance d = 1, 2, ... until n - 1 are placed, has the
+    least diameter and the least total of any two-generatrix circulant.
+    """
+    diameter = total = 0
+    left = n - 1
+    while left > 0:
+        diameter += 1
+        placed = min(4 * diameter, left)
+        total += diameter * placed
+        left -= placed
+    return diameter, total
+
+
 @lru_cache(maxsize=None)
 def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
-    """Second generatrix and (diameter, total distance) of the best C(n; 1, t)."""
+    """Second generatrix and (diameter, total distance) of the best C(n; 1, t).
+
+    The walk and its two shortcuts are those of ``search_best_ring_circulant``.
+    The twin of a unit t is ``min(a, n - a)`` with ``a = t**-1 mod n``:
+    multiplying every label by a maps C(n; 1, t) onto C(n; a, 1) (Adam's
+    isomorphism), so the two have one key.
+    """
+    floor = _layer_floor(n)
     best_t, best_key = 0, (n // 2 + 1, 0)
     for t in range(2, (n - 1) // 2 + 1):
+        if math.gcd(t, n) == 1:
+            a = pow(t, -1, n)
+            if min(a, n - a) < t:
+                continue
         key = _ring_key(n, t, best_key[0])
         if key < best_key:
             best_t, best_key = t, key
+            if key == floor:
+                break
     return best_t, best_key
 
 
@@ -429,8 +465,16 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
     the bare ring's diameter.  A candidate within the bound gets its exact
     key; one beyond it gets a diameter above the bound, so it loses to the
     best as it should.  The walk goes over s2 in increasing order and
-    replaces the best only on a strict improvement.  The result depends on
-    n alone, so each n is searched once per process.
+    replaces the best only on a strict improvement.
+
+    No layer of a two-generatrix circulant holds more than 4d nodes at
+    distance d, so no key is below ``_layer_floor(n)``, the key of 4d nodes
+    at each distance.  The walk stops once the best reaches that floor, and
+    it skips a unit s2 whose multiplier twin (``_best_ring``) comes earlier
+    and so has already shown the same key.  A skipped candidate could at
+    best tie, and a tie never replaces the best, so the winner and its
+    tie-break are those of the full walk.  The result depends on n alone,
+    so each n is searched once per process.
     """
     if n < 5:
         raise ValidationError(f"no valid second generatrix for n={n}; need n >= 5")
@@ -458,22 +502,33 @@ def search_best_circulant2(n: int) -> CirculantSpec:
     to the best diameter so far, so no pair runs a BFS: one within the
     bound gets its exact key, and one beyond it a diameter above the bound,
     so it loses as it should.
+
+    No pair has a key below ``_layer_floor(n)``: its layers hold at most
+    4d nodes at distance d.  So the ring winner is returned at once when its
+    key equals that floor, and the scan stops at the first pair that
+    reaches it.  The pairs passed over could at best tie, and a tie never
+    replaces the best, so the result and its tie-break are unchanged.
     """
     if n < 5:
         raise ValidationError(f"no valid generatrix pair for n={n}; need n >= 5")
     best_pair = search_best_ring_circulant(n).generatrices
     best_key = _best_ring(n)[1]
+    floor = _layer_floor(n)
     limit = (n - 1) // 2
-    for s1 in range(2, limit):
-        if math.gcd(s1, n) == 1:
-            continue
-        for s2 in range(s1 + 1, limit + 1):
-            if math.gcd(s2, n) == 1 or math.gcd(n, s1, s2) != 1:
-                continue
-            key = _pair_key(n, s1, s2, best_key[0])
-            if key < best_key:
-                best_key = key
-                best_pair = (s1, s2)
+    pairs = (
+        (s1, s2)
+        for s1 in range(2, limit)
+        if math.gcd(s1, n) != 1
+        for s2 in range(s1 + 1, limit + 1)
+        if math.gcd(s2, n) != 1 and math.gcd(n, s1, s2) == 1
+    )
+    for s1, s2 in pairs:
+        if best_key == floor:
+            break
+        key = _pair_key(n, s1, s2, best_key[0])
+        if key < best_key:
+            best_key = key
+            best_pair = (s1, s2)
     return CirculantSpec(n, best_pair)
 
 

@@ -107,6 +107,22 @@ def test_route_on_a_huge_ring_memoizes_only_the_hops_it_routes(capsys, algorithm
     assert path in out and "hops = 3" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table",),
+        ("route", "--algorithm", "table", "--src", "0", "--dst", "5"),
+        ("efficiency", "--algorithm", "table"),
+        ("cycles",),
+    ],
+)
+def test_distance_profile_of_a_huge_ring_exits_one(capsys, argv):
+    # the n-entry profile cannot be allocated, which is a bad input, not a crash
+    code, _, err = run(capsys, *argv, "--circulant", "1000000000000000000000000000000,1,3")
+    assert code == 1
+    assert err.startswith("error: n=1000000000000000000000000000000 ")
+
+
 def test_printed_adaptive_livelock_in_figure_exits_one(capsys):
     code, _, err = run(
         capsys, "figure", "--id", "efficiency", "--values", "100", "--mode", "printed",

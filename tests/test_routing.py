@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from circnoc import routing
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.routing import (
     AS_PRINTED,
@@ -391,6 +392,17 @@ def test_memoized_traces_follow_the_per_hop_helpers():
                     nodes = trace_route(algorithm, u, v, cfg, mode).nodes
                     assert nodes[0] == u and nodes[-1] == v, (algorithm, cfg, u, v)
                     assert all(nxt[a] == b for a, b in zip(nodes, nodes[1:])), (algorithm, cfg, u, v)
+
+
+def test_table_trace_reads_the_profile_once_and_a_warm_trace_never(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        routing, "circulant_distance_profile", lambda n, gens: calls.append(n) or circulant_distance_profile(n, gens)
+    )
+    cfg = RouterConfig(100, 1, 18)
+    cold = trace_route("table", 0, 57, cfg)
+    assert len(cold.ports) > 1 and calls == [100]
+    assert trace_route("table", 0, 57, cfg) == cold and calls == [100]
 
 
 def test_trace_livelock_bound_is_exact():

@@ -23,7 +23,7 @@ from circnoc.topology import (
     search_best_circulant2,
     search_best_ring_circulant,
 )
-from circnoc.topology import _pair_key, _ring_key
+from circnoc.topology import _best_ring, _layer_floor, _pair_key, _ring_key
 from oracles import ref_bfs, ref_metrics, ref_pair_profile, ref_ring_profile, ring_s2_values
 
 
@@ -260,6 +260,31 @@ def test_search_best_circulant2_starts_from_the_ring_search(monkeypatch):
     assert calls == [100]
 
 
+def test_ring_search_stops_at_the_floor_and_skips_multiplier_twins(monkeypatch):
+    keyed = []
+    ring_key = topology._ring_key
+    monkeypatch.setattr(topology, "_ring_key", lambda n, t, bound: keyed.append(t) or ring_key(n, t, bound))
+    _best_ring.cache_clear()
+    assert _best_ring(2025) == (197, _layer_floor(2025))
+    assert max(keyed) == 197
+    for t in keyed:
+        if math.gcd(t, 2025) == 1:
+            a = pow(t, -1, 2025)
+            assert min(a, 2025 - a) >= t, t
+
+
+def test_general_search_keys_no_pair_once_the_ring_meets_the_floor(monkeypatch):
+    keyed = []
+    pair_key = topology._pair_key
+    monkeypatch.setattr(topology, "_pair_key", lambda *args: keyed.append(args) or pair_key(*args))
+    assert _best_ring(100)[1] == _layer_floor(100)
+    assert search_best_circulant2(100) == CirculantSpec(100, (1, 18))
+    assert keyed == []
+    assert _best_ring(144)[1] > _layer_floor(144)
+    assert search_best_circulant2(144) == CirculantSpec(144, (8, 9))
+    assert keyed
+
+
 def test_circulant_profile_matches_graph_bfs():
     for n, gens in [(8, (1, 3)), (16, (1, 7)), (15, (2, 4)), (30, (1, 14))]:
         g = build_circulant(CirculantSpec(n, gens))
@@ -410,11 +435,14 @@ def _non_unit_pairs(n):
 
 def test_pair_key_matches_bfs_and_prunes_below_the_diameter():
     # Exact with an unlimited bound; below the diameter, a diameter above
-    # the bound, which is what the general search prunes on.
+    # the bound, which is what the general search prunes on.  No pair is
+    # below the layer floor, which both searches stop at.
     for n in range(5, 61):
+        floor = _layer_floor(n)
         for s1, s2 in _pairs_up_to_half(n):
             profile = ref_pair_profile(n, s1, s2)
             key = (max(profile), sum(profile))
+            assert key[0] >= floor[0] and key[1] >= floor[1], (n, s1, s2)
             assert _pair_key(n, s1, s2, n) == key, (n, s1, s2)
             assert _pair_key(n, s1, s2, key[0]) == key, (n, s1, s2)
             for bound in range(key[0]):
