@@ -52,6 +52,7 @@ from .topology import (
     CirculantSpec,
     ComparisonRow,
     Graph,
+    GridSpec,
     TopologyMetrics,
     build_circulant,
     build_mesh,

@@ -41,15 +41,13 @@ def _parse_circulant(text: str) -> topology.CirculantSpec:
     return topology.CirculantSpec(parts[0], tuple(parts[1:]))
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    for sep in ("x", "X"):
-        if sep in text:
-            left, _, right = text.partition(sep)
-            try:
-                return int(left), int(right)
-            except ValueError:
-                break
-    raise ValidationError(f"cannot parse grid {text!r}; expected RxC like 3x3")
+def _parse_grid(kind: str, text: str) -> topology.GridSpec:
+    left, _, right = text.lower().partition("x")
+    try:
+        rows, cols = int(left), int(right)
+    except ValueError:
+        raise ValidationError(f"cannot parse grid {text!r}; expected RxC like 3x3") from None
+    return topology.GridSpec(kind, rows, cols)
 
 
 def _parse_int_range(text: str) -> tuple[int, ...]:
@@ -62,7 +60,10 @@ def _parse_int_range(text: str) -> tuple[int, ...]:
             raise ValidationError(f"cannot parse range {text!r}; expected A..B")
         if hi < lo:
             raise ValidationError(f"empty range {text!r}")
-        return tuple(range(lo, hi + 1))
+        try:
+            return tuple(range(lo, hi + 1))
+        except (OverflowError, MemoryError):
+            raise ValidationError(f"range {text!r} has too many values to list") from None
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -86,25 +87,21 @@ def _cmd_topo(args) -> int:
     chosen = [flag for flag in ("circulant", "mesh", "torus") if getattr(args, flag)]
     if len(chosen) != 1:
         raise ValidationError("pass exactly one of --circulant, --mesh, --torus")
-    if args.circulant:
-        spec = _parse_circulant(args.circulant)
-        graph = topology.build_circulant(spec)
-        label = str(spec)
-        s1, s2 = spec.generatrices[0], spec.generatrices[-1]
-    else:
-        rows, cols = _parse_grid(args.mesh or args.torus)
-        builder = topology.build_mesh if args.mesh else topology.build_torus
-        graph = builder(rows, cols)
-        label = f"{graph.kind} {rows}x{cols}"
-        s1 = s2 = None
-    print(f"{label}: n={graph.n} edges={graph.edge_count} max_degree={graph.max_degree}")
+    kind, text = chosen[0], getattr(args, chosen[0])
+    topo = _parse_circulant(text) if kind == "circulant" else _parse_grid(kind, text)
+    print(f"{topo}: n={topo.n} edges={topo.edge_count} max_degree={topo.max_degree}")
     if args.metrics:
-        m = topology.metrics(graph)
+        m = topology.metrics(topo)
         print(f"diameter D = {m.diameter}")
         print(f"average distance L_av = {m.avg_distance:.4f}")
         if args.out:
-            _write(args.out, topology.format_metrics_csv([(graph.n, graph.kind, s1, s2, m)]))
+            _write(args.out, topology.format_metrics_csv([(topo, m)]))
     elif args.out:
+        if kind == "circulant":
+            graph = topology.build_circulant(topo)
+        else:
+            builder = topology.build_mesh if kind == "mesh" else topology.build_torus
+            graph = builder(topo.rows, topo.cols)
         export = topology.graph_to_dot if args.format == "dot" else topology.graph_to_edge_csv
         _write(args.out, export(graph))
     return 0

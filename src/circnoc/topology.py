@@ -1,26 +1,26 @@
-"""Circulant, mesh, and torus graph construction plus distance metrics.
+"""Circulant, mesh, and torus topologies, their metrics and graph exports.
 
 A circulant on ``n`` nodes with generatrices ``(s1, ..., sk)`` links every
 node ``v`` to ``(v +- si) mod n``.  Ring circulants (``s1 = 1``) keep the
-Hamiltonian ring, which is what the routing layer relies on.  Mesh and
-torus builders produce the square-grid baselines the circulants are
-measured against, and the comparison sweep quantifies the diameter and
-average-distance gains.
+Hamiltonian ring, which is what the routing layer relies on.  Metrics
+come from a topology's identity, a ``CirculantSpec`` or the ``GridSpec`` of
+a mesh or torus baseline; a ``Graph`` is built only to export it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 
 __all__ = [
     "CirculantSpec",
+    "GridSpec",
     "Graph",
     "TopologyMetrics",
     "ComparisonRow",
@@ -50,6 +50,8 @@ class CirculantSpec:
 
     n: int
     generatrices: tuple[int, ...]
+
+    kind = "circulant"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generatrices", tuple(self.generatrices))
@@ -81,40 +83,71 @@ class CirculantSpec:
         """True when the first generatrix is 1 (unit-step ring present)."""
         return self.generatrices[0] == 1
 
+    @property
+    def edge_count(self) -> int:
+        """Undirected links: n per generatrix, n/2 for s = n/2 (v + s == v - s)."""
+        return sum(self.n // 2 if 2 * s == self.n else self.n for s in self.generatrices)
+
+    @property
+    def max_degree(self) -> int:
+        """2k, less one for a generatrix n/2; every node has this degree."""
+        return 2 * self.k - 1 if 2 * self.generatrices[-1] == self.n else 2 * self.k
+
     def __str__(self) -> str:
         return f"C({self.n}; {', '.join(map(str, self.generatrices))})"
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Immutable undirected graph as per-node sorted neighbor tuples.
+class GridSpec:
+    """Identity of a rows x cols ``mesh``, or ``torus`` with wraparound links.
 
-    The builders also record ``params`` for ``metrics``: the generatrices
-    of a circulant, (rows, cols) of a mesh or torus.  It is no constructor
-    argument and no part of equality or repr.
+    A torus side below 3 would duplicate wrap edges, so it is rejected.
+    """
+
+    kind: str
+    rows: int
+    cols: int
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("mesh", "torus"):
+            raise ValidationError(f"unknown grid kind {self.kind!r}; expected 'mesh' or 'torus'")
+        least = 3 if self.kind == "torus" else 1
+        if self.rows < least or self.cols < least:
+            raise ValidationError(
+                f"{self.kind} dimensions must be >= {least}, got {self.rows}x{self.cols}"
+            )
+        if self.n < 2:
+            raise ValidationError("mesh needs at least 2 nodes")
+
+    @property
+    def n(self) -> int:
+        return self.rows * self.cols
+
+    @property
+    def edge_count(self) -> int:
+        """Undirected links: 2n on a torus, one fewer per row and per column on a mesh."""
+        if self.kind == "torus":
+            return 2 * self.n
+        return self.rows * (self.cols - 1) + self.cols * (self.rows - 1)
+
+    @property
+    def max_degree(self) -> int:
+        """4 on a torus; on a mesh, up to 2 neighbors along each side longer than 1."""
+        return 4 if self.kind == "torus" else min(self.rows - 1, 2) + min(self.cols - 1, 2)
+
+    def __str__(self) -> str:
+        return f"{self.kind} {self.rows}x{self.cols}"
+
+
+class Graph(NamedTuple):
+    """Immutable undirected graph as per-node sorted neighbor tuples, for export.
+
+    A named tuple: nothing to validate, and cheaper than a dataclass to create at import.
     """
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
     kind: str
-    params: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
-    @property
-    def max_degree(self) -> int:
-        return max(len(nbrs) for nbrs in self.neighbors)
-
-    @property
-    def edge_count(self) -> int:
-        """Undirected edge count (each physical link counted once)."""
-        return sum(len(nbrs) for nbrs in self.neighbors) // 2
-
-    @property
-    def channel_count(self) -> int:
-        """Directed channel count: two per undirected link."""
-        return 2 * self.edge_count
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield undirected edges as (u, v) with u < v, sorted."""
@@ -158,11 +191,7 @@ class ComparisonRow:
 
 
 def build_circulant(spec: CirculantSpec) -> Graph:
-    """Build C(n; s1, ..., sk): node v adjacent to (v +- si) mod n.
-
-    Degree is 2k everywhere except that a generatrix equal to n/2
-    contributes a single edge (v + n/2 == v - n/2 mod n).
-    """
+    """Build C(n; s1, ..., sk): node v adjacent to (v +- si) mod n."""
     n = spec.n
     neighbors = []
     for v in range(n):
@@ -171,64 +200,40 @@ def build_circulant(spec: CirculantSpec) -> Graph:
             near.add((v + s) % n)
             near.add((v - s) % n)
         neighbors.append(tuple(sorted(near)))
-    graph = Graph(n=n, neighbors=tuple(neighbors), kind="circulant")
-    object.__setattr__(graph, "params", spec.generatrices)
-    return graph
+    return Graph(n=n, neighbors=tuple(neighbors), kind="circulant")
+
+
+def _build_grid(grid: GridSpec) -> Graph:
+    """4-neighbor grid of ``grid``; a torus wraps each side, a mesh stops at it."""
+    rows, cols = grid.rows, grid.cols
+    neighbors = []
+    for r in range(rows):
+        for c in range(cols):
+            near = set()
+            for rr, cc in ((r, c - 1), (r, c + 1), (r - 1, c), (r + 1, c)):
+                if grid.kind == "torus":
+                    near.add(rr % rows * cols + cc % cols)
+                elif 0 <= rr < rows and 0 <= cc < cols:
+                    near.add(rr * cols + cc)
+            neighbors.append(tuple(sorted(near)))
+    return Graph(n=grid.n, neighbors=tuple(neighbors), kind=grid.kind)
 
 
 def build_mesh(rows: int, cols: int) -> Graph:
     """Build a rows x cols 4-neighbor grid without wraparound."""
-    if rows < 1 or cols < 1:
-        raise ValidationError(f"mesh dimensions must be >= 1, got {rows}x{cols}")
-    if rows * cols < 2:
-        raise ValidationError("mesh needs at least 2 nodes")
-    n = rows * cols
-    neighbors = []
-    for r in range(rows):
-        for c in range(cols):
-            near = []
-            if c > 0:
-                near.append(r * cols + c - 1)
-            if c + 1 < cols:
-                near.append(r * cols + c + 1)
-            if r > 0:
-                near.append((r - 1) * cols + c)
-            if r + 1 < rows:
-                near.append((r + 1) * cols + c)
-            neighbors.append(tuple(sorted(near)))
-    graph = Graph(n=n, neighbors=tuple(neighbors), kind="mesh")
-    object.__setattr__(graph, "params", (rows, cols))
-    return graph
+    return _build_grid(GridSpec("mesh", rows, cols))
 
 
 def build_torus(rows: int, cols: int) -> Graph:
-    """Build a rows x cols grid with wraparound links; every node has degree 4.
-
-    Dimensions below 3 would duplicate wrap edges, so they are rejected.
-    """
-    if rows < 3 or cols < 3:
-        raise ValidationError(f"torus dimensions must be >= 3, got {rows}x{cols}")
-    n = rows * cols
-    neighbors = []
-    for r in range(rows):
-        for c in range(cols):
-            near = {
-                r * cols + (c - 1) % cols,
-                r * cols + (c + 1) % cols,
-                ((r - 1) % rows) * cols + c,
-                ((r + 1) % rows) * cols + c,
-            }
-            neighbors.append(tuple(sorted(near)))
-    graph = Graph(n=n, neighbors=tuple(neighbors), kind="torus")
-    object.__setattr__(graph, "params", (rows, cols))
-    return graph
+    """Build a rows x cols grid with wraparound links; every node has degree 4."""
+    return _build_grid(GridSpec("torus", rows, cols))
 
 
-def metrics(graph: Graph) -> TopologyMetrics:
-    """Diameter, average distance, edge count, and max degree of a graph.
+def metrics(topology: CirculantSpec | GridSpec) -> TopologyMetrics:
+    """Diameter, average distance, edge count, and max degree of a topology.
 
-    The distance total over ordered pairs is exact integer arithmetic on
-    the ``params`` that the builder recorded:
+    Edge count and degree are closed forms of the identity.  The distance
+    total over ordered pairs is exact integer arithmetic:
 
     * circulant: vertex-transitive, so ``n * sum(profile)``, diameter
       ``max(profile)``, from the cached ``circulant_distance_profile``;
@@ -238,29 +243,24 @@ def metrics(graph: Graph) -> TopologyMetrics:
     * torus: an m-cycle's distances from one node sum to ``m**2 // 4``, so
       ``n (cols (rows**2 // 4) + rows (cols**2 // 4))``, diameter
       ``rows // 2 + cols // 2``.
-
-    A graph constructed directly has no ``params``; it raises
-    ``ValidationError`` rather than be trusted about its own structure.
     """
-    if graph.params is None:
-        raise ValidationError(f"metrics needs a graph from a builder, not a hand-built {graph.kind!r}")
-    if graph.kind == "circulant":
-        profile = circulant_distance_profile(graph.n, graph.params)
-        total, diameter = graph.n * sum(profile), max(profile)
-    elif graph.kind == "mesh":
-        rows, cols = graph.params
+    n = topology.n
+    if topology.kind == "circulant":
+        profile = circulant_distance_profile(n, topology.generatrices)
+        total, diameter = n * sum(profile), max(profile)
+    elif topology.kind == "mesh":
+        rows, cols = topology.rows, topology.cols
         total = (cols * cols * (rows**3 - rows) + rows * rows * (cols**3 - cols)) // 3
         diameter = rows + cols - 2
     else:
-        rows, cols = graph.params
-        total = graph.n * (cols * (rows * rows // 4) + rows * (cols * cols // 4))
+        rows, cols = topology.rows, topology.cols
+        total = n * (cols * (rows * rows // 4) + rows * (cols * cols // 4))
         diameter = rows // 2 + cols // 2
-    pairs = graph.n * (graph.n - 1)
     return TopologyMetrics(
         diameter=diameter,
-        avg_distance=total / pairs,
-        edge_count=graph.edge_count,
-        max_degree=graph.max_degree,
+        avg_distance=total / (n * (n - 1)),
+        edge_count=topology.edge_count,
+        max_degree=topology.max_degree,
     )
 
 
@@ -300,13 +300,16 @@ def circulant_distance_profile(n: int, generatrices: tuple[int, ...]) -> tuple[i
 def formula_optimal_circulant(n: int) -> CirculantSpec:
     """Two-generatrix circulant C(n; d-1, d) with d = round(sqrt(n/2)).
 
-    Rounding is to the nearest integer, ties up.  When d - 1 < 1 the spec
-    degenerates, so the result is clamped to the ring C(n; 1, 2) (plain
-    ring C(3; 1) for n == 3, where no second generatrix exists).
+    Rounding is to the nearest integer, ties up, in exact integer
+    arithmetic: ``d <= sqrt(n/2) + 1/2 < d + 1`` is ``2d - 1 <= isqrt(2n) <
+    2d + 1``, which holds for any n, also one beyond the float range.  When
+    d - 1 < 1 the spec degenerates, so the result is clamped to the ring
+    C(n; 1, 2) (plain ring C(3; 1) for n == 3, where no second generatrix
+    exists).
     """
     if n <= 2:
         raise ValidationError(f"n must exceed 2, got {n}")
-    d = math.floor(math.sqrt(n / 2) + 0.5)
+    d = (math.isqrt(2 * n) + 1) // 2
     if d - 1 < 1:
         if n == 3:
             return CirculantSpec(3, (1,))
@@ -560,9 +563,9 @@ def compare_topologies(sides: Iterable[int], selection: str = "best_ring") -> li
             raise ValidationError(f"side must be >= 3, got {side}")
         n = side * side
         spec = rule(n)
-        circ = metrics(build_circulant(spec))
-        mesh = metrics(build_mesh(side, side))
-        torus = metrics(build_torus(side, side))
+        circ = metrics(spec)
+        mesh = metrics(GridSpec("mesh", side, side))
+        torus = metrics(GridSpec("torus", side, side))
         rows.append(
             ComparisonRow(
                 n=n,
@@ -600,17 +603,14 @@ def graph_to_edge_csv(graph: Graph) -> str:
 
 
 def format_metrics_csv(
-    records: Iterable[tuple[int, str, int | None, int | None, TopologyMetrics]],
+    records: Iterable[tuple[CirculantSpec | GridSpec, TopologyMetrics]],
 ) -> str:
-    """Render metric records as CSV: ``n,topology,s1,s2,diameter,avg_distance,edges``.
-
-    ``s1``/``s2`` are blank for non-circulant topologies.
+    """Render (topology, metrics) records as CSV with header
+    ``n,topology,generatrices,diameter,avg_distance,edges``; a circulant's
+    generatrices are space-separated, and the column is blank for a grid.
     """
-    lines = ["n,topology,s1,s2,diameter,avg_distance,edges"]
-    for n, topology, s1, s2, m in records:
-        s1_text = "" if s1 is None else str(s1)
-        s2_text = "" if s2 is None else str(s2)
-        lines.append(
-            f"{n},{topology},{s1_text},{s2_text},{m.diameter},{m.avg_distance!r},{m.edge_count}"
-        )
+    lines = ["n,topology,generatrices,diameter,avg_distance,edges"]
+    for topo, m in records:
+        gens = " ".join(map(str, topo.generatrices)) if topo.kind == "circulant" else ""
+        lines.append(f"{topo.n},{topo.kind},{gens},{m.diameter},{m.avg_distance!r},{m.edge_count}")
     return "\n".join(lines) + "\n"

@@ -40,6 +40,33 @@ def test_topo_mesh_and_torus(capsys):
     assert code == 0 and "D = 2" in out
 
 
+def test_topo_metrics_csv_lists_every_generatrix(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    code, _, _ = run(capsys, "topo", "--circulant", "16,1,3,5", "--metrics", "--out", str(path))
+    assert code == 0
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "n,topology,generatrices,diameter,avg_distance,edges",
+        f"16,circulant,1 3 5,3,{26 / 15!r},48",
+    ]
+    code, _, _ = run(capsys, "topo", "--circulant", "7,1", "--metrics", "--out", str(path))
+    assert code == 0
+    assert path.read_text(encoding="utf-8").splitlines()[1] == "7,circulant,1,3,2.0,7"
+
+
+def test_topo_answers_from_the_identity_without_neighbor_lists(capsys):
+    # 10**30 neighbor lists could never be built; the sizes are closed forms
+    code, out, _ = run(capsys, "topo", "--circulant", f"{10**30},1,3")
+    assert code == 0
+    assert out == f"C({10**30}; 1, 3): n={10**30} edges={2 * 10**30} max_degree=4\n"
+    code, out, _ = run(capsys, "topo", "--torus", "3000x3000", "--metrics")
+    assert code == 0
+    assert out.splitlines() == [
+        "torus 3000x3000: n=9000000 edges=18000000 max_degree=4",
+        "diameter D = 3000",
+        "average distance L_av = 1500.0002",
+    ]
+
+
 def test_topo_requires_exactly_one_topology(capsys):
     code, _, err = run(capsys, "topo", "--circulant", "8,1,3", "--mesh", "3x3")
     assert code == 1 and "exactly one" in err
@@ -114,6 +141,7 @@ def test_route_on_a_huge_ring_memoizes_only_the_hops_it_routes(capsys, algorithm
         ("route", "--algorithm", "table", "--src", "0", "--dst", "5"),
         ("efficiency", "--algorithm", "table"),
         ("cycles",),
+        ("topo", "--metrics"),
     ],
 )
 def test_distance_profile_of_a_huge_ring_exits_one(capsys, argv):
@@ -121,6 +149,22 @@ def test_distance_profile_of_a_huge_ring_exits_one(capsys, argv):
     code, _, err = run(capsys, *argv, "--circulant", "1000000000000000000000000000000,1,3")
     assert code == 1
     assert err.startswith("error: n=1000000000000000000000000000000 ")
+
+
+def test_compare_of_a_huge_side_exits_one(capsys):
+    code, _, err = run(capsys, "compare", "--sides", str(10**30), "--selection", "formula_eq1")
+    assert code == 1
+    assert err.startswith(f"error: n={10**60} is too large")
+    code, _, err = run(capsys, "compare", "--sides", str(10**200), "--selection", "formula_eq1")
+    assert code == 1
+    assert err.startswith(f"error: n={10**400} is too large")
+
+
+@pytest.mark.parametrize("flag", ["compare --sides", "figure --id memory --values"])
+def test_oversized_value_range_exits_one(capsys, flag):
+    code, _, err = run(capsys, *flag.split(), f"3..{10**30}")
+    assert code == 1
+    assert err == f"error: range '3..{10**30}' has too many values to list\n"
 
 
 def test_printed_adaptive_livelock_in_figure_exits_one(capsys):

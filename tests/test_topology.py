@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circnoc import topology
+from circnoc.cli import main
 from circnoc.errors import ValidationError
 from circnoc.routing import _scan
 from circnoc.topology import (
     CirculantSpec,
-    Graph,
+    GridSpec,
     build_circulant,
     build_mesh,
     build_torus,
@@ -29,12 +30,20 @@ from oracles import ref_bfs, ref_metrics, ref_pair_profile, ref_ring_profile, ri
 
 # --- circulant construction ------------------------------------------------
 
+def _degrees(g):
+    return [len(nbrs) for nbrs in g.neighbors]
+
+
+def _edge_count(g):
+    return sum(_degrees(g)) // 2
+
+
 def test_circulant_c9_13_is_degree_four_with_18_edges():
     g = build_circulant(CirculantSpec(9, (1, 3)))
     assert g.n == 9
-    assert all(g.degree(v) == 4 for v in range(9))
-    assert g.edge_count == 18
-    assert g.channel_count == 36
+    assert _degrees(g) == [4] * 9
+    assert _edge_count(g) == 18
+    assert len(list(g.edges())) == 18
 
 
 def test_circulant_triangle():
@@ -50,8 +59,8 @@ def test_circulant_c8_13_neighbors_of_zero():
 def test_circulant_half_generatrix_degree_drops_by_one():
     # +n/2 and -n/2 reach the same node, so that generatrix adds one edge
     g = build_circulant(CirculantSpec(6, (1, 3)))
-    assert all(g.degree(v) == 3 for v in range(6))
-    assert g.edge_count == 2 * 6 - 3
+    assert _degrees(g) == [3] * 6
+    assert _edge_count(g) == 2 * 6 - 3
 
 
 @pytest.mark.parametrize(
@@ -85,21 +94,19 @@ def test_circulant_spec_str_and_flags():
 def test_mesh_3x3():
     g = build_mesh(3, 3)
     assert g.n == 9
-    assert g.edge_count == 12
-    assert g.degree(0) == 2
-    assert g.degree(4) == 4
+    assert _edge_count(g) == 12
+    assert _degrees(g) == [2, 3, 2, 3, 4, 3, 2, 3, 2]
 
 
 def test_mesh_1x2_is_single_edge():
     g = build_mesh(1, 2)
-    assert g.edge_count == 1
     assert g.neighbors == ((1,), (0,))
 
 
 def test_mesh_2x2_is_cycle():
     g = build_mesh(2, 2)
-    assert g.edge_count == 4
-    assert all(g.degree(v) == 2 for v in range(4))
+    assert _edge_count(g) == 4
+    assert _degrees(g) == [2] * 4
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (1, 1)])
@@ -108,17 +115,24 @@ def test_mesh_rejects_bad_dims(rows, cols):
         build_mesh(rows, cols)
 
 
+def test_grid_spec_rejects_unknown_kind_and_names_itself():
+    with pytest.raises(ValidationError, match="unknown grid kind 'ring'"):
+        GridSpec("ring", 3, 3)
+    assert str(GridSpec("torus", 3, 5)) == "torus 3x5"
+    assert GridSpec("mesh", 3, 5).n == 15
+
+
 def test_torus_3x3():
     g = build_torus(3, 3)
-    assert g.edge_count == 18
-    assert all(g.degree(v) == 4 for v in range(9))
+    assert _edge_count(g) == 18
+    assert _degrees(g) == [4] * 9
     assert max(ref_bfs(g.neighbors, 0)) == 2
 
 
 def test_torus_4x4_diameter():
     g = build_torus(4, 4)
-    assert g.edge_count == 2 * 16
-    assert metrics(g).diameter == max(ref_bfs(g.neighbors, 0)) == 4
+    assert _edge_count(g) == 2 * 16
+    assert metrics(GridSpec("torus", 4, 4)).diameter == max(ref_bfs(g.neighbors, 0)) == 4
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (1, 5)])
@@ -134,11 +148,11 @@ def test_bfs_c8_13_profile():
 
 
 def test_bfs_mesh_corner_reaches_opposite_corner_in_four():
-    assert metrics(build_mesh(3, 3)).diameter == 4
+    assert metrics(GridSpec("mesh", 3, 3)).diameter == 4
 
 
 def test_metrics_c8_13():
-    m = metrics(build_circulant(CirculantSpec(8, (1, 3))))
+    m = metrics(CirculantSpec(8, (1, 3)))
     assert m.diameter == 2
     assert m.avg_distance == pytest.approx(10 / 7, rel=1e-12)
     assert m.edge_count == 16
@@ -146,26 +160,32 @@ def test_metrics_c8_13():
 
 
 def test_metrics_triangle():
-    m = metrics(build_circulant(CirculantSpec(3, (1,))))
+    m = metrics(CirculantSpec(3, (1,)))
     assert m.diameter == 1
     assert m.avg_distance == 1.0
 
 
 def test_metrics_torus_3x3_diameter():
-    assert metrics(build_torus(3, 3)).diameter == 2
+    assert metrics(GridSpec("torus", 3, 3)).diameter == 2
+
+
+def _build(topo):
+    if topo.kind == "circulant":
+        return build_circulant(topo)
+    return (build_mesh if topo.kind == "mesh" else build_torus)(topo.rows, topo.cols)
 
 
 @pytest.mark.parametrize(
     "graph",
     [
-        build_circulant(CirculantSpec(12, (1, 5))),
-        build_circulant(CirculantSpec(11, (2, 3))),
-        build_mesh(4, 6),
-        build_torus(3, 5),
+        CirculantSpec(12, (1, 5)),
+        CirculantSpec(11, (2, 3)),
+        GridSpec("mesh", 4, 6),
+        GridSpec("torus", 3, 5),
     ],
 )
 def test_metrics_match_reference_oracle(graph):
-    diameter, avg = ref_metrics(graph.neighbors)
+    diameter, avg = ref_metrics(_build(graph).neighbors)
     m = metrics(graph)
     assert m.diameter == diameter
     assert m.avg_distance == pytest.approx(avg, rel=1e-12)
@@ -179,38 +199,57 @@ def _ring_circulants(max_n):
             yield CirculantSpec(n, (1, s2))
 
 
-def _assert_metrics_match_oracle(graph):
-    diameter, avg = ref_metrics(graph.neighbors)
-    m = metrics(graph)
-    assert (m.diameter, m.avg_distance) == (diameter, avg), graph
+def _assert_metrics_match_oracle(topo):
+    neighbors = _build(topo).neighbors
+    diameter, avg = ref_metrics(neighbors)
+    m = metrics(topo)
+    assert (m.diameter, m.avg_distance) == (diameter, avg), topo
+    assert m.edge_count == sum(map(len, neighbors)) // 2 == topo.edge_count, topo
+    assert m.max_degree == max(map(len, neighbors)) == topo.max_degree, topo
 
 
 def test_metrics_one_bfs_matches_oracle_for_every_ring_circulant():
     for spec in _ring_circulants(40):
-        _assert_metrics_match_oracle(build_circulant(spec))
+        _assert_metrics_match_oracle(spec)
+
+
+def test_metrics_match_oracle_with_a_half_generatrix_and_three_generatrices():
+    # s = n/2 pairs the nodes up, so it adds n/2 edges and one to the degree
+    for n in range(4, 31, 2):
+        _assert_metrics_match_oracle(CirculantSpec(n, (1, n // 2)))
+    for n in range(6, 31):
+        for s1, s2 in ((1, 2), (2, 3), (2, 5)):
+            for s3 in range(s2 + 1, n // 2 + 1):
+                if math.gcd(n, s1, s2, s3) == 1:
+                    _assert_metrics_match_oracle(CirculantSpec(n, (s1, s2, s3)))
+    for n, gens in ((11, (2, 3)), (15, (3, 5)), (20, (4, 5)), (12, (3, 4, 6))):
+        _assert_metrics_match_oracle(CirculantSpec(n, gens))
 
 
 def test_metrics_closed_form_matches_oracle_for_every_torus():
     for rows in range(3, 16):
         for cols in range(3, 16):
-            _assert_metrics_match_oracle(build_torus(rows, cols))
+            _assert_metrics_match_oracle(GridSpec("torus", rows, cols))
 
 
 def test_metrics_closed_form_matches_oracle_for_every_mesh():
     for rows in range(1, 11):
         for cols in range(1, 11):
             if rows * cols >= 2:
-                _assert_metrics_match_oracle(build_mesh(rows, cols))
+                _assert_metrics_match_oracle(GridSpec("mesh", rows, cols))
 
 
-def test_metrics_of_a_hand_built_graph_is_rejected():
-    # A path built as a plain Graph has no builder params, so metrics
-    # refuses it even though it equals the 1 x 4 mesh.
-    path = Graph(n=4, neighbors=((1,), (0, 2), (1, 3), (2,)), kind="mesh")
-    assert path.params is None
-    assert path == build_mesh(1, 4)
-    with pytest.raises(ValidationError, match="hand-built 'mesh'"):
-        metrics(path)
+def test_metrics_paths_build_no_graph(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a metrics path built a Graph")
+
+    for name in ("build_circulant", "build_mesh", "build_torus"):
+        monkeypatch.setattr(topology, name, refuse)
+    rows = compare_topologies(range(3, 24))
+    assert [row.n for row in rows] == [side * side for side in range(3, 24)]
+    for flag, value in (("--circulant", "16,1,3,5"), ("--mesh", "3x4"), ("--torus", "5x3")):
+        assert main(["topo", flag, value, "--metrics"]) == 0
+    assert "D = 3" in capsys.readouterr().out
 
 
 def _connected_pairs(n):
@@ -327,9 +366,9 @@ def test_circulant_symmetry_and_degree_fuzz(n, data):
         for v in g.neighbors[u]:
             assert u in g.neighbors[v]
             assert u != v
-        assert len(set(g.neighbors[u])) == g.degree(u)
+        assert len(set(g.neighbors[u])) == len(g.neighbors[u])
     if gens[-1] < n / 2:
-        assert all(g.degree(v) == 2 * len(gens) for v in range(n))
+        assert _degrees(g) == [2 * len(gens)] * n
 
 
 def test_diameter_matches_candidate_enumeration():
@@ -585,9 +624,9 @@ def test_graph_to_edge_csv():
 
 
 def test_format_metrics_csv():
-    m = metrics(build_circulant(CirculantSpec(8, (1, 3))))
-    text = format_metrics_csv([(8, "circulant", 1, 3, m), (9, "mesh", None, None, m)])
+    spec, mesh = CirculantSpec(8, (1, 3)), GridSpec("mesh", 3, 3)
+    text = format_metrics_csv([(spec, metrics(spec)), (mesh, metrics(mesh))])
     lines = text.splitlines()
-    assert lines[0] == "n,topology,s1,s2,diameter,avg_distance,edges"
-    assert lines[1].startswith("8,circulant,1,3,2,")
-    assert lines[2].startswith("9,mesh,,,")
+    assert lines[0] == "n,topology,generatrices,diameter,avg_distance,edges"
+    assert lines[1] == f"8,circulant,1 3,2,{10 / 7!r},16"
+    assert lines[2] == "9,mesh,,4,2.0,12"
