@@ -51,12 +51,8 @@ from .routing import (
 from .topology import (
     CirculantSpec,
     ComparisonRow,
-    Graph,
     GridSpec,
     TopologyMetrics,
-    build_circulant,
-    build_mesh,
-    build_torus,
     circulant_distance_profile,
     compare_topologies,
     formula_optimal_circulant,

@@ -97,13 +97,8 @@ def _cmd_topo(args) -> int:
         if args.out:
             _write(args.out, topology.format_metrics_csv([(topo, m)]))
     elif args.out:
-        if kind == "circulant":
-            graph = topology.build_circulant(topo)
-        else:
-            builder = topology.build_mesh if kind == "mesh" else topology.build_torus
-            graph = builder(topo.rows, topo.cols)
         export = topology.graph_to_dot if args.format == "dot" else topology.graph_to_edge_csv
-        _write(args.out, export(graph))
+        _write(args.out, export(topo))
     return 0
 
 

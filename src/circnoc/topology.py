@@ -3,8 +3,9 @@
 A circulant on ``n`` nodes with generatrices ``(s1, ..., sk)`` links every
 node ``v`` to ``(v +- si) mod n``.  Ring circulants (``s1 = 1``) keep the
 Hamiltonian ring, which is what the routing layer relies on.  Metrics
-come from a topology's identity, a ``CirculantSpec`` or the ``GridSpec`` of
-a mesh or torus baseline; a ``Graph`` is built only to export it.
+and exports come from a topology's identity, a ``CirculantSpec`` or the
+``GridSpec`` of a mesh or torus baseline; its links are enumerated only to
+export them.
 """
 
 from __future__ import annotations
@@ -14,20 +15,16 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import ValidationError
 
 __all__ = [
     "CirculantSpec",
     "GridSpec",
-    "Graph",
     "TopologyMetrics",
     "ComparisonRow",
     "SELECTION_RULES",
-    "build_circulant",
-    "build_mesh",
-    "build_torus",
     "metrics",
     "circulant_distance_profile",
     "formula_optimal_circulant",
@@ -93,6 +90,13 @@ class CirculantSpec:
         """2k, less one for a generatrix n/2; every node has this degree."""
         return 2 * self.k - 1 if 2 * self.generatrices[-1] == self.n else 2 * self.k
 
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Undirected links (u, v), u < v, in increasing order: v = (u +- s) mod n."""
+        n = self.n
+        for u in range(n):
+            near = {(u + d) % n for s in self.generatrices for d in (s, -s)}
+            yield from ((u, v) for v in sorted(near) if u < v)
+
     def __str__(self) -> str:
         return f"C({self.n}; {', '.join(map(str, self.generatrices))})"
 
@@ -135,26 +139,21 @@ class GridSpec:
         """4 on a torus; on a mesh, up to 2 neighbors along each side longer than 1."""
         return 4 if self.kind == "torus" else min(self.rows - 1, 2) + min(self.cols - 1, 2)
 
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Undirected links (u, v), u < v, in increasing order, from node r * cols + c
+        to its 4 grid neighbours; a torus wraps each side, a mesh stops at it."""
+        rows, cols = self.rows, self.cols
+        for u in range(self.n):
+            r, c = divmod(u, cols)
+            near = {
+                rr % rows * cols + cc % cols
+                for rr, cc in ((r, c - 1), (r, c + 1), (r - 1, c), (r + 1, c))
+                if self.kind == "torus" or (0 <= rr < rows and 0 <= cc < cols)
+            }
+            yield from ((u, v) for v in sorted(near) if u < v)
+
     def __str__(self) -> str:
         return f"{self.kind} {self.rows}x{self.cols}"
-
-
-class Graph(NamedTuple):
-    """Immutable undirected graph as per-node sorted neighbor tuples, for export.
-
-    A named tuple: nothing to validate, and cheaper than a dataclass to create at import.
-    """
-
-    n: int
-    neighbors: tuple[tuple[int, ...], ...]
-    kind: str
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield undirected edges as (u, v) with u < v, sorted."""
-        for u in range(self.n):
-            for v in self.neighbors[u]:
-                if u < v:
-                    yield (u, v)
 
 
 @dataclass(frozen=True)
@@ -188,45 +187,6 @@ class ComparisonRow:
     diameter_reduction_vs_torus: float
     avg_distance_reduction_vs_mesh: float
     avg_distance_reduction_vs_torus: float
-
-
-def build_circulant(spec: CirculantSpec) -> Graph:
-    """Build C(n; s1, ..., sk): node v adjacent to (v +- si) mod n."""
-    n = spec.n
-    neighbors = []
-    for v in range(n):
-        near = set()
-        for s in spec.generatrices:
-            near.add((v + s) % n)
-            near.add((v - s) % n)
-        neighbors.append(tuple(sorted(near)))
-    return Graph(n=n, neighbors=tuple(neighbors), kind="circulant")
-
-
-def _build_grid(grid: GridSpec) -> Graph:
-    """4-neighbor grid of ``grid``; a torus wraps each side, a mesh stops at it."""
-    rows, cols = grid.rows, grid.cols
-    neighbors = []
-    for r in range(rows):
-        for c in range(cols):
-            near = set()
-            for rr, cc in ((r, c - 1), (r, c + 1), (r - 1, c), (r + 1, c)):
-                if grid.kind == "torus":
-                    near.add(rr % rows * cols + cc % cols)
-                elif 0 <= rr < rows and 0 <= cc < cols:
-                    near.add(rr * cols + cc)
-            neighbors.append(tuple(sorted(near)))
-    return Graph(n=grid.n, neighbors=tuple(neighbors), kind=grid.kind)
-
-
-def build_mesh(rows: int, cols: int) -> Graph:
-    """Build a rows x cols 4-neighbor grid without wraparound."""
-    return _build_grid(GridSpec("mesh", rows, cols))
-
-
-def build_torus(rows: int, cols: int) -> Graph:
-    """Build a rows x cols grid with wraparound links; every node has degree 4."""
-    return _build_grid(GridSpec("torus", rows, cols))
 
 
 def metrics(topology: CirculantSpec | GridSpec) -> TopologyMetrics:
@@ -264,6 +224,14 @@ def metrics(topology: CirculantSpec | GridSpec) -> TopologyMetrics:
     )
 
 
+def _n_entry_list(n: int, what: str) -> list[int]:
+    """``[-1] * n``; an n whose list cannot be allocated raises ``ValidationError``."""
+    try:
+        return [-1] * n
+    except (OverflowError, MemoryError):
+        raise ValidationError(f"n={n} is too large for an n-entry {what}") from None
+
+
 @lru_cache(maxsize=4096)
 def circulant_distance_profile(n: int, generatrices: tuple[int, ...]) -> tuple[int, ...]:
     """Hop distances from node 0 to every node of C(n; generatrices).
@@ -280,10 +248,7 @@ def circulant_distance_profile(n: int, generatrices: tuple[int, ...]) -> tuple[i
     for s in generatrices:
         steps.append(s)
         steps.append(n - s)
-    try:
-        dist = [-1] * n
-    except (OverflowError, MemoryError):
-        raise ValidationError(f"n={n} is too large for an n-entry distance profile") from None
+    dist = _n_entry_list(n, "distance profile")
     dist[0] = 0
     queue = deque([0])
     while queue:
@@ -583,21 +548,23 @@ def compare_topologies(sides: Iterable[int], selection: str = "best_ring") -> li
     return rows
 
 
-def graph_to_dot(graph: Graph) -> str:
-    """Render a graph in undirected DOT format with node ids as labels."""
-    lines = [f"graph {graph.kind} {{"]
-    for v in range(graph.n):
+def graph_to_dot(topology: CirculantSpec | GridSpec) -> str:
+    """Render a topology in undirected DOT format with node ids as labels."""
+    _n_entry_list(topology.n, "node list")  # refuse a topology too large to list
+    lines = [f"graph {topology.kind} {{"]
+    for v in range(topology.n):
         lines.append(f'  {v} [label="{v}"];')
-    for u, v in graph.edges():
+    for u, v in topology.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def graph_to_edge_csv(graph: Graph) -> str:
-    """Render the undirected edge list as CSV with header ``u,v``."""
+def graph_to_edge_csv(topology: CirculantSpec | GridSpec) -> str:
+    """Render a topology's undirected edge list as CSV with header ``u,v``."""
+    _n_entry_list(topology.n, "node list")  # refuse a topology too large to list
     lines = ["u,v"]
-    for u, v in graph.edges():
+    for u, v in topology.edges():
         lines.append(f"{u},{v}")
     return "\n".join(lines) + "\n"
 

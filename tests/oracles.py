@@ -47,6 +47,37 @@ def ref_pair_profile(n, s1, s2):
     return ref_bfs(neighbors, 0)
 
 
+def ref_neighbors(topology):
+    """Neighbour sets of a circulant, mesh or torus, built from its definition.
+
+    Circulant node v links to v + s and v - s mod n.  Grid node (r, c) is
+    r * cols + c; each node links to the next one along its row and along
+    its column, wrapping round on a torus, and every link is added both ways.
+    """
+    n = topology.n
+    near = [set() for _ in range(n)]
+    if topology.kind == "circulant":
+        for v in range(n):
+            for s in topology.generatrices:
+                near[v].add((v + s) % n)
+                near[v].add((v - s) % n)
+        return near
+    rows, cols = topology.rows, topology.cols
+    wrap = topology.kind == "torus"
+    for r in range(rows):
+        for c in range(cols):
+            ends = []
+            if c + 1 < cols or wrap:
+                ends.append((r, (c + 1) % cols))
+            if r + 1 < rows or wrap:
+                ends.append(((r + 1) % rows, c))
+            for r2, c2 in ends:
+                u, v = r * cols + c, r2 * cols + c2
+                near[u].add(v)
+                near[v].add(u)
+    return near
+
+
 def ref_metrics(neighbors):
     """(diameter, average distance over ordered pairs) by all-sources BFS."""
     n = len(neighbors)

@@ -85,6 +85,24 @@ def test_topo_dot_and_edge_exports(capsys, tmp_path):
     assert edges.read_text(encoding="utf-8").splitlines()[0] == "u,v"
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--circulant", f"{10**30},1,3"),
+        ("--mesh", f"{10**15}x{10**15}"),
+        ("--torus", f"{10**15}x{10**15}"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["dot", "csv"])
+def test_export_of_a_topology_too_large_to_list_exits_one(capsys, tmp_path, flag, value, fmt):
+    # an export lists every node, so an n-entry list that cannot be allocated is a bad input
+    path = tmp_path / "g"
+    code, _, err = run(capsys, "topo", flag, value, "--out", str(path), "--format", fmt)
+    assert code == 1
+    assert err == f"error: n={10**30} is too large for an n-entry node list\n"
+    assert not path.exists()
+
+
 def test_table_writes_golden_csv(capsys, tmp_path):
     path = tmp_path / "table.csv"
     code, out, _ = run(capsys, "table", "--circulant", "8,1,3", "--out", str(path))

@@ -22,8 +22,15 @@ from circnoc.routing import (
     trace_route,
 )
 from circnoc.routing import _adaptive_delta, _clockwise_delta, _scan, _shortest_port
-from circnoc.topology import CirculantSpec, build_circulant, circulant_distance_profile
-from oracles import ref_adaptive_delta, ref_adaptive_walk, ref_bfs, ref_ring_profile, ring_s2_values
+from circnoc.topology import CirculantSpec, circulant_distance_profile
+from oracles import (
+    ref_adaptive_delta,
+    ref_adaptive_walk,
+    ref_bfs,
+    ref_neighbors,
+    ref_ring_profile,
+    ring_s2_values,
+)
 
 C8 = RouterConfig(8, 1, 3)
 C16 = RouterConfig(16, 1, 7)
@@ -136,9 +143,9 @@ def test_routing_table_rejects_delivered_packet_without_asserts():
 @pytest.mark.parametrize("cfg", [C8, C16, RouterConfig(11, 1, 4), RouterConfig(30, 1, 13)])
 def test_routing_table_descends_toward_destination(cfg):
     table = build_routing_table(cfg)
-    graph = build_circulant(CirculantSpec(cfg.n, (cfg.s1, cfg.s2)))
+    neighbors = ref_neighbors(CirculantSpec(cfg.n, (cfg.s1, cfg.s2)))
     for dst in range(cfg.n):
-        dist = ref_bfs(graph.neighbors, dst)
+        dist = ref_bfs(neighbors, dst)
         for src in range(cfg.n):
             if src == dst:
                 continue
@@ -179,7 +186,7 @@ def test_clockwise_unit_step_regime_trace():
     assert trace.nodes == (0, 1, 2, 3, 4, 5, 6)
     assert trace.hops == 6
     # the shortest path (+7, -1) has 2 hops; clockwise trades hops for state
-    assert ref_bfs(build_circulant(CirculantSpec(16, (1, 7))).neighbors, 0)[6] == 2
+    assert ref_bfs(ref_neighbors(CirculantSpec(16, (1, 7))), 0)[6] == 2
 
 
 def test_clockwise_matches_closed_form_and_oracle():
@@ -262,7 +269,7 @@ def test_adaptive_delivers_in_place():
 
 def test_adaptive_first_step_stays_on_shortest_path():
     nxt = trace_route("adaptive", 0, 4, C8).nodes[1]
-    dist = ref_bfs(build_circulant(CirculantSpec(8, (1, 3))).neighbors, 4)
+    dist = ref_bfs(ref_neighbors(CirculantSpec(8, (1, 3))), 4)
     assert dist[nxt] == dist[0] - 1 == 1
 
 

@@ -11,9 +11,6 @@ from circnoc.routing import _scan
 from circnoc.topology import (
     CirculantSpec,
     GridSpec,
-    build_circulant,
-    build_mesh,
-    build_torus,
     circulant_distance_profile,
     compare_topologies,
     format_metrics_csv,
@@ -25,42 +22,54 @@ from circnoc.topology import (
     search_best_ring_circulant,
 )
 from circnoc.topology import _best_ring, _layer_floor, _pair_key, _ring_key
-from oracles import ref_bfs, ref_metrics, ref_pair_profile, ref_ring_profile, ring_s2_values
+from oracles import (
+    ref_bfs,
+    ref_metrics,
+    ref_neighbors,
+    ref_pair_profile,
+    ref_ring_profile,
+    ring_s2_values,
+)
 
 
 # --- circulant construction ------------------------------------------------
 
-def _degrees(g):
-    return [len(nbrs) for nbrs in g.neighbors]
+def _adjacency(topo):
+    """Neighbour sets read back from ``topo.edges()``."""
+    near = [set() for _ in range(topo.n)]
+    for u, v in topo.edges():
+        near[u].add(v)
+        near[v].add(u)
+    return near
 
 
-def _edge_count(g):
-    return sum(_degrees(g)) // 2
+def _degrees(topo):
+    return [len(nbrs) for nbrs in _adjacency(topo)]
+
+
+def _ref_edges(neighbors):
+    return [(u, v) for u in range(len(neighbors)) for v in sorted(neighbors[u]) if u < v]
 
 
 def test_circulant_c9_13_is_degree_four_with_18_edges():
-    g = build_circulant(CirculantSpec(9, (1, 3)))
-    assert g.n == 9
-    assert _degrees(g) == [4] * 9
-    assert _edge_count(g) == 18
-    assert len(list(g.edges())) == 18
+    spec = CirculantSpec(9, (1, 3))
+    assert _degrees(spec) == [4] * 9
+    assert len(list(spec.edges())) == spec.edge_count == 18
 
 
 def test_circulant_triangle():
-    g = build_circulant(CirculantSpec(3, (1,)))
-    assert g.neighbors == ((1, 2), (0, 2), (0, 1))
+    assert list(CirculantSpec(3, (1,)).edges()) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_circulant_c8_13_neighbors_of_zero():
-    g = build_circulant(CirculantSpec(8, (1, 3)))
-    assert g.neighbors[0] == (1, 3, 5, 7)
+    assert sorted(_adjacency(CirculantSpec(8, (1, 3)))[0]) == [1, 3, 5, 7]
 
 
 def test_circulant_half_generatrix_degree_drops_by_one():
     # +n/2 and -n/2 reach the same node, so that generatrix adds one edge
-    g = build_circulant(CirculantSpec(6, (1, 3)))
-    assert _degrees(g) == [3] * 6
-    assert _edge_count(g) == 2 * 6 - 3
+    spec = CirculantSpec(6, (1, 3))
+    assert _degrees(spec) == [3] * 6
+    assert len(list(spec.edges())) == 2 * 6 - 3
 
 
 @pytest.mark.parametrize(
@@ -92,27 +101,24 @@ def test_circulant_spec_str_and_flags():
 # --- mesh and torus --------------------------------------------------------
 
 def test_mesh_3x3():
-    g = build_mesh(3, 3)
-    assert g.n == 9
-    assert _edge_count(g) == 12
-    assert _degrees(g) == [2, 3, 2, 3, 4, 3, 2, 3, 2]
+    mesh = GridSpec("mesh", 3, 3)
+    assert mesh.n == 9
+    assert len(list(mesh.edges())) == 12
+    assert _degrees(mesh) == [2, 3, 2, 3, 4, 3, 2, 3, 2]
 
 
 def test_mesh_1x2_is_single_edge():
-    g = build_mesh(1, 2)
-    assert g.neighbors == ((1,), (0,))
+    assert list(GridSpec("mesh", 1, 2).edges()) == [(0, 1)]
 
 
 def test_mesh_2x2_is_cycle():
-    g = build_mesh(2, 2)
-    assert _edge_count(g) == 4
-    assert _degrees(g) == [2] * 4
+    assert list(GridSpec("mesh", 2, 2).edges()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (1, 1)])
 def test_mesh_rejects_bad_dims(rows, cols):
     with pytest.raises(ValidationError):
-        build_mesh(rows, cols)
+        GridSpec("mesh", rows, cols)
 
 
 def test_grid_spec_rejects_unknown_kind_and_names_itself():
@@ -123,22 +129,22 @@ def test_grid_spec_rejects_unknown_kind_and_names_itself():
 
 
 def test_torus_3x3():
-    g = build_torus(3, 3)
-    assert _edge_count(g) == 18
-    assert _degrees(g) == [4] * 9
-    assert max(ref_bfs(g.neighbors, 0)) == 2
+    torus = GridSpec("torus", 3, 3)
+    assert len(list(torus.edges())) == 18
+    assert _degrees(torus) == [4] * 9
+    assert max(ref_bfs(_adjacency(torus), 0)) == 2
 
 
 def test_torus_4x4_diameter():
-    g = build_torus(4, 4)
-    assert _edge_count(g) == 2 * 16
-    assert metrics(GridSpec("torus", 4, 4)).diameter == max(ref_bfs(g.neighbors, 0)) == 4
+    torus = GridSpec("torus", 4, 4)
+    assert len(list(torus.edges())) == 2 * 16
+    assert metrics(torus).diameter == max(ref_bfs(_adjacency(torus), 0)) == 4
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (1, 5)])
 def test_torus_rejects_small_dims(rows, cols):
     with pytest.raises(ValidationError):
-        build_torus(rows, cols)
+        GridSpec("torus", rows, cols)
 
 
 # --- distances and metrics -------------------------------------------------
@@ -169,12 +175,6 @@ def test_metrics_torus_3x3_diameter():
     assert metrics(GridSpec("torus", 3, 3)).diameter == 2
 
 
-def _build(topo):
-    if topo.kind == "circulant":
-        return build_circulant(topo)
-    return (build_mesh if topo.kind == "mesh" else build_torus)(topo.rows, topo.cols)
-
-
 @pytest.mark.parametrize(
     "graph",
     [
@@ -185,7 +185,7 @@ def _build(topo):
     ],
 )
 def test_metrics_match_reference_oracle(graph):
-    diameter, avg = ref_metrics(_build(graph).neighbors)
+    diameter, avg = ref_metrics(ref_neighbors(graph))
     m = metrics(graph)
     assert m.diameter == diameter
     assert m.avg_distance == pytest.approx(avg, rel=1e-12)
@@ -200,11 +200,13 @@ def _ring_circulants(max_n):
 
 
 def _assert_metrics_match_oracle(topo):
-    neighbors = _build(topo).neighbors
+    neighbors = ref_neighbors(topo)
     diameter, avg = ref_metrics(neighbors)
     m = metrics(topo)
     assert (m.diameter, m.avg_distance) == (diameter, avg), topo
-    assert m.edge_count == sum(map(len, neighbors)) // 2 == topo.edge_count, topo
+    edges = list(topo.edges())
+    assert edges == _ref_edges(neighbors), topo
+    assert m.edge_count == len(edges) == topo.edge_count, topo
     assert m.max_degree == max(map(len, neighbors)) == topo.max_degree, topo
 
 
@@ -239,12 +241,12 @@ def test_metrics_closed_form_matches_oracle_for_every_mesh():
                 _assert_metrics_match_oracle(GridSpec("mesh", rows, cols))
 
 
-def test_metrics_paths_build_no_graph(monkeypatch, capsys):
+def test_metrics_paths_enumerate_no_links(monkeypatch, capsys):
     def refuse(*args):
-        raise AssertionError("a metrics path built a Graph")
+        raise AssertionError("a metrics path enumerated links")
 
-    for name in ("build_circulant", "build_mesh", "build_torus"):
-        monkeypatch.setattr(topology, name, refuse)
+    for spec_type in (CirculantSpec, GridSpec):
+        monkeypatch.setattr(spec_type, "edges", refuse)
     rows = compare_topologies(range(3, 24))
     assert [row.n for row in rows] == [side * side for side in range(3, 24)]
     for flag, value in (("--circulant", "16,1,3,5"), ("--mesh", "3x4"), ("--torus", "5x3")):
@@ -326,21 +328,21 @@ def test_general_search_keys_no_pair_once_the_ring_meets_the_floor(monkeypatch):
 
 def test_circulant_profile_matches_graph_bfs():
     for n, gens in [(8, (1, 3)), (16, (1, 7)), (15, (2, 4)), (30, (1, 14))]:
-        g = build_circulant(CirculantSpec(n, gens))
+        neighbors = ref_neighbors(CirculantSpec(n, gens))
         profile = circulant_distance_profile(n, gens)
-        assert list(profile) == ref_bfs(g.neighbors, 0)
+        assert list(profile) == ref_bfs(neighbors, 0)
         # vertex transitivity: shifting the source shifts the profile
         for src in (1, n // 2, n - 1):
-            dist = ref_bfs(g.neighbors, src)
+            dist = ref_bfs(neighbors, src)
             assert all(dist[(src + off) % n] == profile[off] for off in range(n))
 
 
 def test_vertex_transitivity_distance_multisets():
     for n, gens in [(9, (1, 3)), (20, (3, 7)), (25, (1, 7)), (48, (1, 20)), (100, (1, 44))]:
-        g = build_circulant(CirculantSpec(n, gens))
-        base = sorted(ref_bfs(g.neighbors, 0))
+        neighbors = ref_neighbors(CirculantSpec(n, gens))
+        base = sorted(ref_bfs(neighbors, 0))
         for src in range(1, n):
-            assert sorted(ref_bfs(g.neighbors, src)) == base
+            assert sorted(ref_bfs(neighbors, src)) == base
 
 
 @given(
@@ -361,14 +363,18 @@ def test_circulant_symmetry_and_degree_fuzz(n, data):
     gens = tuple(sorted(gens))
     if math.gcd(n, *gens) != 1:
         return
-    g = build_circulant(CirculantSpec(n, gens))
+    spec = CirculantSpec(n, gens)
+    neighbors = ref_neighbors(spec)
     for u in range(n):
-        for v in g.neighbors[u]:
-            assert u in g.neighbors[v]
+        for v in neighbors[u]:
+            assert u in neighbors[v]
             assert u != v
-        assert len(set(g.neighbors[u])) == len(g.neighbors[u])
+    edges = list(spec.edges())
+    assert edges == _ref_edges(neighbors)
+    assert len(edges) == spec.edge_count
+    assert _degrees(spec) == [spec.max_degree] * n
     if gens[-1] < n / 2:
-        assert _degrees(g) == [2 * len(gens)] * n
+        assert spec.max_degree == 2 * len(gens)
 
 
 def test_diameter_matches_candidate_enumeration():
@@ -611,7 +617,7 @@ def test_compare_is_deterministic():
 # --- exports -------------------------------------------------------------------
 
 def test_graph_to_dot():
-    text = graph_to_dot(build_circulant(CirculantSpec(3, (1,))))
+    text = graph_to_dot(CirculantSpec(3, (1,)))
     assert text.startswith("graph circulant {")
     assert '0 [label="0"];' in text
     assert "0 -- 1;" in text and "1 -- 2;" in text and "0 -- 2;" in text
@@ -619,8 +625,22 @@ def test_graph_to_dot():
 
 
 def test_graph_to_edge_csv():
-    text = graph_to_edge_csv(build_mesh(1, 3))
+    text = graph_to_edge_csv(GridSpec("mesh", 1, 3))
     assert text == "u,v\n0,1\n1,2\n"
+
+
+def test_exports_keep_their_pinned_texts():
+    assert graph_to_edge_csv(CirculantSpec(8, (1, 4))) == (
+        "u,v\n0,1\n0,4\n0,7\n1,2\n1,5\n2,3\n2,6\n3,4\n3,7\n4,5\n5,6\n6,7\n"
+    )
+    assert graph_to_edge_csv(GridSpec("torus", 3, 3)) == (
+        "u,v\n0,1\n0,2\n0,3\n0,6\n1,2\n1,4\n1,7\n2,5\n2,8\n"
+        "3,4\n3,5\n3,6\n4,5\n4,7\n5,8\n6,7\n6,8\n7,8\n"
+    )
+    assert graph_to_dot(GridSpec("mesh", 2, 2)) == (
+        'graph mesh {\n  0 [label="0"];\n  1 [label="1"];\n  2 [label="2"];\n  3 [label="3"];\n'
+        "  0 -- 1;\n  0 -- 2;\n  1 -- 3;\n  2 -- 3;\n}\n"
+    )
 
 
 def test_format_metrics_csv():
