@@ -6,8 +6,10 @@ only when ``--out`` is given.  Exit codes: 0 success; 1 validation,
 usage or output-file error, or a route that livelocks (revisits a node, as
 the printed adaptive variant can; the error names the cycle); 2 an
 unexpected exception (its traceback is printed), and ``fuzz`` when it
-finds a livelock.  Clockwise and adaptive ``route`` work on a ring of any
-size; table routing reads an n-entry distance profile.
+finds a livelock.  Table routing reads an n-entry distance profile, and
+a clockwise ``route`` lists all of its hops, so a ring or a route too
+large to allocate exits 1.  Adaptive ``route`` keeps only the hops it
+routes.
 """
 
 from __future__ import annotations
@@ -68,6 +70,16 @@ def _parse_int_range(text: str) -> tuple[int, ...]:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(f"cannot parse values {text!r}; expected A..B or comma list")
+
+
+def _max_cycles(text: str) -> int | None:
+    """An integer wrap bound, or ``none`` for no bound."""
+    if text == "none":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'none', got {text!r}") from None
 
 
 def _mode_from(args) -> routing.AdaptiveMode:
@@ -257,8 +269,8 @@ def _add_mode_flags(parser) -> None:
         help="adaptive candidate-scan variant",
     )
     parser.add_argument(
-        "--max-cycles", type=int, default=2, dest="max_cycles",
-        help="wrap bound of the adaptive candidate scan",
+        "--max-cycles", type=_max_cycles, default=2, dest="max_cycles",
+        help="wrap bound of the adaptive candidate scan; 'none' scans until no wrap can improve",
     )
 
 

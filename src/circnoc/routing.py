@@ -12,7 +12,7 @@ Three per-hop strategies share one four-port router model:
 
 Ports are numbered clockwise: 0 -> +s1, 1 -> +s2, 2 -> -s1, 3 -> -s2.
 Everything here is a pure function of its inputs; tables and traces are
-immutable once built, and a config's next-port memo only keeps what the
+immutable once built, and a config's route memo only keeps what the
 routing rules return.
 """
 
@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import mod
 
 from .errors import LivelockError, ValidationError
 from .topology import CirculantSpec, circulant_distance_profile
@@ -54,8 +56,8 @@ class RouterConfig:
     Every router picks its next port from d = dest - current alone: the
     table and clockwise rules read d mod n, the adaptive rule reads |d|
     and the sign of d (its ties go counter-clockwise, so u -> v and
-    v -> u can differ).  ``trace_route`` keeps each port it has decided in
-    this config's next-port memo, a dict per rule keyed by d, which is not
+    v -> u can differ).  ``trace_route`` keeps the table routes and the
+    adaptive ports it has decided in this config's ``_memo``, which is not
     a field: equality, hashing and ``asdict`` see n, s1 and s2 only.
     """
 
@@ -84,13 +86,16 @@ class RouterConfig:
         return (self.s1, self.s2, -self.s1, -self.s2)
 
     @cached_property
-    def _next_ports(self) -> dict[object, dict[int, int]]:
-        """Next-port memo of ``trace_route``, living as long as this config.
+    def _memo(self) -> dict[object, dict[int, bytes | int]]:
+        """Route memo of ``trace_route``, living as long as this config.
 
-        One dict per rule, keyed ``"table"``, ``"clockwise"`` or by the
-        ``AdaptiveMode``.  Each maps d = dest - current in (-n, n) to its
-        port and gains an entry when a route first needs it, so it holds
-        no more entries than the hops routed.
+        ``"table"`` maps an offset d = (dst - src) mod n in [1, n) to the
+        ports of its whole route, one byte per port.  Each ``AdaptiveMode``
+        maps d = dest - current in (-n, n) to the next port.  Entries are
+        added when a route first needs them, so the table dict holds no
+        more than n - 1 routes and an adaptive dict no more entries than
+        the hops routed.  Clockwise routes come from their closed form and
+        are not memoized.
         """
         return {}
 
@@ -108,23 +113,27 @@ class AdaptiveMode:
     ``max_cycles`` bounds how many full ring wraps the candidate scan
     considers in each direction; circulants with a large generatrix can
     need well past the default of 2 before every route is shortest.
+    ``None`` sets no bound: each scan then stops only once no further wrap
+    can improve, after about V·s2/n wraps for a route of V hops, which is
+    O(n) per memo miss when s2 is near n/2.
 
     Under ``corrected``, with any ``max_cycles``, every hop lowers the
     router's scan value V(u, v) (see ``_adaptive_delta``) by at least one,
     so a route from u to v takes at most V(u, v) hops and never livelocks.
-    The ``printed`` seed S + n is no real counter-clockwise displacement,
-    and its hops can leave V where it was.
+    With no bound V is the exact distance, so every corrected route is
+    shortest.  The ``printed`` seed S + n is no real counter-clockwise
+    displacement, and its hops can leave V where it was.
     """
 
     variant: str = "corrected"
-    max_cycles: int = 2
+    max_cycles: int | None = 2
 
     def __post_init__(self) -> None:
         if self.variant not in ADAPTIVE_VARIANTS:
             raise ValidationError(
                 f"unknown adaptive variant {self.variant!r}; expected one of {ADAPTIVE_VARIANTS}"
             )
-        if self.max_cycles < 2:
+        if self.max_cycles is not None and self.max_cycles < 2:
             raise ValidationError(f"max_cycles must be >= 2, got {self.max_cycles}")
 
 
@@ -242,6 +251,29 @@ def build_routing_table(cfg: RouterConfig) -> RoutingTable:
     return RoutingTable(cfg=cfg, ports=(None,) + row)
 
 
+def _table_route(offset: int, cfg: RouterConfig, routes: dict[int, bytes]) -> bytes:
+    """Ports of the table route of an offset in [1, n), filling ``routes``.
+
+    Walks from the offset with ``_shortest_port`` until it reaches a stored
+    offset or 0.  The route of every offset it passed is a suffix of the
+    walk followed by the stored route, so each is stored too.  The
+    distance profile is read once.
+    """
+    n, steps = cfg.n, cfg.port_steps()
+    profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
+    passed, walk = [], bytearray()
+    d = offset
+    while d and d not in routes:
+        port = _shortest_port(profile, steps, d, n)
+        passed.append(d)
+        walk.append(port)
+        d = (d - steps[port]) % n
+    tail = routes.get(d, b"")
+    for index, start in enumerate(passed):
+        routes[start] = bytes(walk[index:]) + tail
+    return routes[offset]
+
+
 def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:
     """Clockwise routing rule: the signed step from current toward dest != current.
 
@@ -259,22 +291,25 @@ def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:
     return step
 
 
-def clockwise_hop_count(src: int, dst: int, cfg: RouterConfig) -> int:
-    """Closed-form clockwise route length.
+def _clockwise_legs(s: int, cfg: RouterConfig) -> tuple[int, int, bool]:
+    """The clockwise route of offset s = (dst - src) mod n in closed form.
 
-    Forward regime (S <= n/2): floor(S/s2) + S mod s2; backward regime
-    mirrors with S' = n - S.  Each hop strictly shrinks the residual, so
-    the iterative route has exactly this length.
+    Returns (q, r, backward): the route is q long steps, then r unit steps,
+    all in one direction.  Forward (2S <= n), q, r = divmod(S, s2); the
+    backward regime mirrors with S' = n - S.  Each hop of
+    ``_clockwise_delta`` shrinks the residual S (or S'), so the route never
+    leaves its regime, and it steps long while the residual covers s2.
     """
-    n = cfg.n
-    _check_node(src, n, "src")
-    _check_node(dst, n, "dst")
-    s = (dst - src) % n
-    if s == 0:
-        return 0
-    if 2 * s > n:
-        s = n - s
-    return s // cfg.s2 + s % cfg.s2
+    backward = 2 * s > cfg.n
+    return (*divmod(cfg.n - s if backward else s, cfg.s2), backward)
+
+
+def clockwise_hop_count(src: int, dst: int, cfg: RouterConfig) -> int:
+    """Closed-form clockwise route length, q + r (see ``_clockwise_legs``)."""
+    _check_node(src, cfg.n, "src")
+    _check_node(dst, cfg.n, "dst")
+    q, r, _ = _clockwise_legs((dst - src) % cfg.n, cfg)
+    return q + r
 
 
 def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int, int, bool]:
@@ -345,17 +380,24 @@ def trace_route(
 ) -> RouteTrace:
     """Trace a packet from src to dst, recording nodes and ports per hop.
 
-    Each hop's port depends on d = dst - current alone (the table and
-    clockwise rules read d mod n, the adaptive rule |d| and its sign), so
-    it is read from the config's next-port memo for this algorithm and
-    mode, a dict keyed by d.  A missing d is filled on first use from the
-    rule itself: ``_shortest_port``, ``_clockwise_delta`` or
-    ``_adaptive_delta``.  Only the table rule reads an n-entry structure
-    (the distance profile), fetched on its first miss and at most once per
-    trace, so a warm trace never asks for it; the others route on a ring
-    of any size.
+    Each hop's port depends on d = dst - current alone: the table and
+    clockwise rules read d mod n, the adaptive rule |d| and its sign.
 
-    Every router picks its next hop from (current, dest) alone, so a walk
+    So a table or clockwise route from src is the route of the offset
+    (dst - src) mod n from 0, moved by src, and neither is walked hop by
+    hop.  A clockwise route is its closed form (``_clockwise_legs``); a
+    clockwise route too long to list raises ``ValidationError``.  A table
+    route's ports are read from the config's memo, one ``bytes`` per
+    offset, filled on a miss by ``_table_route``.  The nodes are then
+    built in C, from two ranges or from the accumulated steps.  Neither
+    rule can livelock: every hop strictly lowers the distance to dst, or
+    the clockwise residual.  Only the table rule reads an n-entry
+    structure (the distance profile), on a memo miss and at most once per
+    trace, so a warm trace never asks for it.
+
+    An adaptive hop's port is read from the config's memo for this mode, a
+    dict keyed by d, and a missing d is filled from ``_adaptive_delta``.
+    The router picks its next hop from (current, dest) alone, so a walk
     that revisits a node repeats forever.  A walk of n - 1 hops that has
     not arrived has visited n nodes other than dst, so by pigeonhole it
     has revisited one; the trace then raises ``LivelockError`` naming the
@@ -369,51 +411,56 @@ def trace_route(
 
     steps = cfg.port_steps()
     if algorithm == "table":
-        profile = None
-
-        def rule(cur: int) -> int:
-            nonlocal profile
-            if profile is None:
-                profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
-            return _shortest_port(profile, steps, (dst - cur) % n, n)
-
+        offset = (dst - src) % n
+        routes = cfg._memo.setdefault("table", {})
+        route = routes.get(offset)
+        if route is None:
+            route = _table_route(offset, cfg, routes) if offset else b""
+        nodes = tuple([*map(mod, accumulate(map(steps.__getitem__, route), initial=src), repeat(n))])
+        ports = tuple(route)
     elif algorithm == "clockwise":
-
-        def rule(cur: int) -> int:
-            return steps.index(_clockwise_delta(cur, dst, cfg))
-
-    else:
-
-        def rule(cur: int) -> int:
-            return steps.index(_adaptive_delta(cur, dst, cfg, mode))
-
-    key = mode if algorithm == "adaptive" else algorithm
-    memo = cfg._next_ports.setdefault(key, {})
-    nodes = [src]
-    ports = []
-    current = src
-    for _ in range(n - 1):
-        if current == dst:
-            break
+        q, r, backward = _clockwise_legs((dst - src) % n, cfg)
+        long_port, unit_port = (3, 2) if backward else (1, 0)
+        long, unit = steps[long_port], steps[unit_port]
+        turn = src + q * long
         try:
-            port = memo[dst - current]
-        except KeyError:
-            port = memo[dst - current] = rule(current)
-        ports.append(port)
-        current = (current + steps[port]) % n
-        nodes.append(current)
-    if current != dst:
-        seen: dict[int, int] = {}
-        for index, node in enumerate(nodes):
-            if node in seen:
+            ports = (long_port,) * q + (unit_port,) * r
+            nodes = tuple([
+                *map(mod, range(src, turn, long), repeat(n)),
+                *map(mod, range(turn, turn + (r + 1) * unit, unit), repeat(n)),
+            ])
+        except (OverflowError, MemoryError):
+            raise ValidationError(
+                f"a clockwise route of {q + r} hops is too large for a node list"
+            ) from None
+    else:
+        memo = cfg._memo.setdefault(mode, {})
+        nodes = [src]
+        ports = []
+        current = src
+        for _ in range(n - 1):
+            if current == dst:
                 break
-            seen[node] = index
-        cycle = tuple(nodes[seen[node]:index + 1])
-        raise LivelockError(
-            f"{algorithm} routing livelocks in {cfg} for pair {src} -> {dst}: "
-            f"cycle {' -> '.join(map(str, cycle))}",
-            cycle,
-        )
+            try:
+                port = memo[dst - current]
+            except KeyError:
+                port = memo[dst - current] = steps.index(_adaptive_delta(current, dst, cfg, mode))
+            ports.append(port)
+            current = (current + steps[port]) % n
+            nodes.append(current)
+        if current != dst:
+            seen: dict[int, int] = {}
+            for index, node in enumerate(nodes):
+                if node in seen:
+                    break
+                seen[node] = index
+            cycle = tuple(nodes[seen[node]:index + 1])
+            raise LivelockError(
+                f"{algorithm} routing livelocks in {cfg} for pair {src} -> {dst}: "
+                f"cycle {' -> '.join(map(str, cycle))}",
+                cycle,
+            )
+        nodes, ports = tuple(nodes), tuple(ports)
     return RouteTrace(
         algorithm=algorithm,
         n=n,
@@ -421,6 +468,6 @@ def trace_route(
         s2=cfg.s2,
         src=src,
         dst=dst,
-        nodes=tuple(nodes),
-        ports=tuple(ports),
+        nodes=nodes,
+        ports=ports,
     )

@@ -142,14 +142,39 @@ def test_route_with_huge_wrap_bound_stops_scanning(capsys):
     "algorithm, path", [("clockwise", "0 -> 3 -> 4 -> 5"), ("adaptive", "0 -> 3 -> 6 -> 5")]
 )
 def test_route_on_a_huge_ring_memoizes_only_the_hops_it_routes(capsys, algorithm, path):
-    # the next-port memo is a dict keyed by dst - current, so nothing the
-    # size of n is allocated before the first hop
+    # a clockwise route lists only its hops, and the adaptive memo is a dict
+    # keyed by dst - current, so nothing the size of n is allocated
     code, out, _ = run(
         capsys, "route", "--algorithm", algorithm,
         "--circulant", "1000000000000000000000000000000,1,3", "--src", "0", "--dst", "5",
     )
     assert code == 0
     assert path in out and "hops = 3" in out
+
+
+def test_clockwise_route_too_large_to_list_exits_one(capsys):
+    # 1.7e29 hops: the closed form is refused at once instead of walked
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "route", "--algorithm", "clockwise",
+        "--circulant", "1000000000000000000000000000000,1,3",
+        "--src", "0", "--dst", "500000000000000000000000000000",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert err == (
+        "error: a clockwise route of 166666666666666666666666666668 hops "
+        "is too large for a node list\n"
+    )
+
+
+def test_route_without_a_wrap_bound(capsys):
+    code, out, _ = run(
+        capsys, "route", "--algorithm", "adaptive", "--circulant", "100,1,44",
+        "--src", "0", "--dst", "37", "--max-cycles", "none",
+    )
+    assert code == 0
+    assert "0 -> 56 -> 12 -> 68 -> 24 -> 80 -> 36 -> 37" in out
 
 
 @pytest.mark.parametrize(
@@ -378,7 +403,11 @@ def test_fuzz_printed_mode_reports_livelocks_and_exits_two(capsys):
     assert out.count("'variant': 'printed', 'max_cycles': 2}") == 3
 
 
-@pytest.mark.parametrize("flags", [("--mode", "sideways"), ("--max-cycles", "1")])
+@pytest.mark.parametrize(
+    "flags",
+    [("--mode", "sideways"), ("--max-cycles", "1")]
+    + [("--max-cycles", bound) for bound in ("x", "0", "None", "")],
+)
 def test_fuzz_bad_mode_exits_one(capsys, flags):
     code, _, err = run(capsys, "fuzz", "--seed", "1", "--trials", "5", *flags)
     assert code == 1

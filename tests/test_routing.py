@@ -96,6 +96,7 @@ def test_adaptive_mode_validation():
         AdaptiveMode("sideways")
     with pytest.raises(ValidationError):
         AdaptiveMode("corrected", 1)
+    assert AdaptiveMode(max_cycles=None).max_cycles is None
 
 
 # --- table routing -------------------------------------------------------------
@@ -298,6 +299,20 @@ def test_adaptive_traces_are_shortest_when_wraps_covered():
             assert trace_route("adaptive", 0, dst, cfg, mode).hops == profile[dst]
 
 
+def test_unbounded_corrected_adaptive_routes_are_shortest():
+    # with no wrap bound the scan value V is the exact distance, and every
+    # corrected hop lowers V, so every route is a shortest one
+    mode = AdaptiveMode("corrected", None)
+    for n in range(5, 41):
+        for s2 in ring_s2_values(n):
+            cfg = RouterConfig(n, 1, s2)
+            profile = ref_ring_profile(n, s2)
+            for u in range(n):
+                for v in range(n):
+                    hops = trace_route("adaptive", u, v, cfg, mode).hops
+                    assert hops == profile[(v - u) % n], (n, s2, u, v)
+
+
 def test_corrected_adaptive_hop_lowers_its_scan_value():
     # V(u, v): the smaller of the two direction scans that the router runs
     # at u toward v, a function of |v - u|, with V(v, v) = 0.  Every
@@ -475,19 +490,67 @@ def test_candidate_enumeration_reaches_bfs_distance():
             assert bounded >= exact
 
 
-@given(st.integers(min_value=5, max_value=150), st.data())
-def test_trace_length_translation_invariance_by_offset(n, data):
+def test_trace_length_translation_invariance_by_offset():
     # table and clockwise steps depend only on the cyclic label difference,
-    # so every pair (u, v) routes like (0, (v - u) mod n)
-    s2 = data.draw(st.integers(min_value=2, max_value=(n - 1) // 2))
-    cfg = RouterConfig(n, 1, s2)
-    u = data.draw(st.integers(min_value=0, max_value=n - 1))
-    v = data.draw(st.integers(min_value=0, max_value=n - 1))
-    if u == v:
-        return
-    offset = (v - u) % n
+    # so every pair (u, v) routes like (0, (v - u) mod n) moved by u: the
+    # same ports, and nodes shifted by u.  Checked on a config shared by
+    # every pair and on a fresh one per pair, whose table memo is empty.
+    for n in range(5, 41):
+        for s2 in ring_s2_values(n):
+            warm = RouterConfig(n, 1, s2)
+            for algorithm in ("table", "clockwise"):
+                base = [trace_route(algorithm, 0, d, RouterConfig(n, 1, s2)) for d in range(n)]
+                for u in range(n):
+                    for v in range(n):
+                        ref = base[(v - u) % n]
+                        nodes = tuple((u + node) % n for node in ref.nodes)
+                        for cfg in (warm, RouterConfig(n, 1, s2)):
+                            trace = trace_route(algorithm, u, v, cfg)
+                            assert (trace.nodes, trace.ports) == (nodes, ref.ports), (algorithm, n, s2, u, v)
+
+
+def test_table_memo_holds_one_route_per_offset_and_clockwise_none():
+    for n, s2 in [(8, 3), (30, 13), (100, 44), (101, 10)]:
+        cfg = RouterConfig(n, 1, s2)
+        profile = ref_ring_profile(n, s2)
+        for u in range(0, n, 3):
+            for v in range(n):
+                for algorithm in ("table", "clockwise"):
+                    trace_route(algorithm, u, v, cfg)
+        assert set(cfg._memo) == {"table"}
+        routes = cfg._memo["table"]
+        assert set(routes) == set(range(1, n))
+        for d, route in routes.items():
+            assert isinstance(route, bytes) and len(route) == profile[d], (n, s2, d)
+
+
+def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
+    # count the lines run inside routing.py: a warm trace of 2 hops and one
+    # of many hops must run the same number
+    def lines_run(algorithm, dst, cfg):
+        count = 0
+
+        def tracer(frame, event, arg):
+            nonlocal count
+            if frame.f_code.co_filename != routing.__file__:
+                return None
+            if event == "line":
+                count += 1
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            trace = trace_route(algorithm, 0, dst, cfg)
+        finally:
+            sys.settrace(None)
+        return count, trace.hops
+
+    cfg = RouterConfig(1024, 1, 90)
     for algorithm in ("table", "clockwise"):
-        assert (
-            trace_route(algorithm, u, v, cfg).hops
-            == trace_route(algorithm, 0, offset, cfg).hops
-        )
+        for dst in (91, 1024 - 91, 512, 89, 1024 - 89):
+            trace_route(algorithm, 0, dst, cfg)
+        counts = {}
+        for dst in (91, 1024 - 91, 512, 89, 1024 - 89):
+            lines, hops = lines_run(algorithm, dst, cfg)
+            counts.setdefault(lines, []).append(hops)
+        assert len(counts) == 1 and max(sum(counts.values(), [])) >= 10, (algorithm, counts)
