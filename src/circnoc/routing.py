@@ -251,13 +251,18 @@ def build_routing_table(cfg: RouterConfig) -> RoutingTable:
     return RoutingTable(cfg=cfg, ports=(None,) + row)
 
 
+_SUFFIX_HOPS = 64
+
+
 def _table_route(offset: int, cfg: RouterConfig, routes: dict[int, bytes]) -> bytes:
     """Ports of the table route of an offset in [1, n), filling ``routes``.
 
     Walks from the offset with ``_shortest_port`` until it reaches a stored
     offset or 0.  The route of every offset it passed is a suffix of the
-    walk followed by the stored route, so each is stored too.  The
-    distance profile is read once.
+    walk followed by the stored route.  Besides the requested route, the
+    suffixes of at most ``_SUFFIX_HOPS`` ports are stored, so later walks
+    stop early, yet a cold trace of L hops stores O(L) bytes, not the
+    L(L + 1)/2 of every suffix.  The distance profile is read once.
     """
     n, steps = cfg.n, cfg.port_steps()
     profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
@@ -269,9 +274,11 @@ def _table_route(offset: int, cfg: RouterConfig, routes: dict[int, bytes]) -> by
         walk.append(port)
         d = (d - steps[port]) % n
     tail = routes.get(d, b"")
-    for index, start in enumerate(passed):
-        routes[start] = bytes(walk[index:]) + tail
-    return routes[offset]
+    route = routes[offset] = bytes(walk) + tail
+    first = max(1, len(route) - _SUFFIX_HOPS)
+    for index in range(first, len(passed)):
+        routes[passed[index]] = route[index:]
+    return route
 
 
 def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:

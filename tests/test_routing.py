@@ -394,6 +394,8 @@ def test_memoized_traces_follow_the_per_hop_helpers():
     # filled at max_cycles=2, so a memo shared between modes would show at
     # 3.  C(41; 1, 19) is the smallest ring circulant on which the two
     # bounds pick different steps (at d = 31), so it joins those up to 30.
+    # Each table and clockwise trace also equals the one routed on a fresh
+    # config, whose table memo is empty.
     warm, mode = AdaptiveMode("corrected", 2), AdaptiveMode("corrected", 3)
     cfgs = [RouterConfig(n, 1, s2) for n in range(5, 31) for s2 in ring_s2_values(n)]
     for cfg in cfgs + [RouterConfig(41, 1, 19)]:
@@ -411,9 +413,14 @@ def test_memoized_traces_follow_the_per_hop_helpers():
             for v in range(n):
                 nxt = [(u + delta(u, v)) % n if u != v else v for u in range(n)]
                 for u in range(n):
-                    nodes = trace_route(algorithm, u, v, cfg, mode).nodes
+                    trace = trace_route(algorithm, u, v, cfg, mode)
+                    if algorithm != "adaptive":
+                        # the same route from an empty table memo
+                        assert trace == trace_route(algorithm, u, v, RouterConfig(n, 1, cfg.s2))
+                    nodes = trace.nodes
                     assert nodes[0] == u and nodes[-1] == v, (algorithm, cfg, u, v)
                     assert all(nxt[a] == b for a, b in zip(nodes, nodes[1:])), (algorithm, cfg, u, v)
+                    assert all((a + steps[p]) % n == b for a, b, p in zip(nodes, nodes[1:], trace.ports))
 
 
 def test_table_trace_reads_the_profile_once_and_a_warm_trace_never(monkeypatch):
@@ -490,23 +497,22 @@ def test_candidate_enumeration_reaches_bfs_distance():
             assert bounded >= exact
 
 
-def test_trace_length_translation_invariance_by_offset():
+@given(st.integers(min_value=5, max_value=150), st.data())
+def test_trace_length_translation_invariance_by_offset(n, data):
     # table and clockwise steps depend only on the cyclic label difference,
     # so every pair (u, v) routes like (0, (v - u) mod n) moved by u: the
-    # same ports, and nodes shifted by u.  Checked on a config shared by
-    # every pair and on a fresh one per pair, whose table memo is empty.
-    for n in range(5, 41):
-        for s2 in ring_s2_values(n):
-            warm = RouterConfig(n, 1, s2)
-            for algorithm in ("table", "clockwise"):
-                base = [trace_route(algorithm, 0, d, RouterConfig(n, 1, s2)) for d in range(n)]
-                for u in range(n):
-                    for v in range(n):
-                        ref = base[(v - u) % n]
-                        nodes = tuple((u + node) % n for node in ref.nodes)
-                        for cfg in (warm, RouterConfig(n, 1, s2)):
-                            trace = trace_route(algorithm, u, v, cfg)
-                            assert (trace.nodes, trace.ports) == (nodes, ref.ports), (algorithm, n, s2, u, v)
+    # same ports, and nodes shifted by u.  Checked on a fresh config, whose
+    # table memo is empty, and again once the memo holds the route.
+    s2 = data.draw(st.integers(min_value=2, max_value=(n - 1) // 2))
+    u = data.draw(st.integers(min_value=0, max_value=n - 1))
+    v = data.draw(st.integers(min_value=0, max_value=n - 1))
+    cfg = RouterConfig(n, 1, s2)
+    for algorithm in ("table", "clockwise"):
+        ref = trace_route(algorithm, 0, (v - u) % n, RouterConfig(n, 1, s2))
+        nodes = tuple((u + node) % n for node in ref.nodes)
+        for _ in range(2):
+            trace = trace_route(algorithm, u, v, cfg)
+            assert (trace.nodes, trace.ports) == (nodes, ref.ports), (algorithm, u, v)
 
 
 def test_table_memo_holds_one_route_per_offset_and_clockwise_none():
@@ -522,6 +528,27 @@ def test_table_memo_holds_one_route_per_offset_and_clockwise_none():
         assert set(routes) == set(range(1, n))
         for d, route in routes.items():
             assert isinstance(route, bytes) and len(route) == profile[d], (n, s2, d)
+
+
+def test_long_cold_table_route_stores_bytes_linear_in_its_hops():
+    # storing every suffix of a 5000-hop walk would keep 12.5 MB; only the
+    # route and the suffixes of at most 64 ports are kept
+    n = 20001
+    cfg = RouterConfig(n, 1, 2)
+    profile = circulant_distance_profile(n, (1, 2))
+    trace = trace_route("table", 0, 10000, cfg)
+    routes = cfg._memo["table"]
+    assert trace.hops == profile[10000] == 5000
+    assert sum(map(len, routes.values())) <= trace.hops + 64 * 65 // 2
+    assert len(routes) <= 65
+    for d, route in routes.items():
+        assert len(route) == profile[d]
+    # a later walk stops at a stored suffix and routes along the rule
+    later = trace_route("table", 0, 9000, cfg)
+    assert later == trace_route("table", 0, 9000, RouterConfig(n, 1, 2))
+    assert later.hops == profile[9000]
+    table = build_routing_table(cfg)
+    assert all(table.port(a, 9000) == p for a, p in zip(later.nodes, later.ports))
 
 
 def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
