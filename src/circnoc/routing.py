@@ -11,9 +11,9 @@ Three per-hop strategies share one four-port router model:
                    long as the needed wrap count stays within its bound.
 
 Ports are numbered clockwise: 0 -> +s1, 1 -> +s2, 2 -> -s1, 3 -> -s2.
-Everything here is a pure function of its inputs; tables and traces are
-immutable once built, and a config's route memo only keeps what the
-routing rules return.
+A table or clockwise route is two legs of one port each.  Everything here
+is a pure function of its inputs; tables and traces are immutable once
+built, and a config's route memo only keeps what the rules return.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import mod
 
 from .errors import LivelockError, ValidationError
@@ -56,7 +56,7 @@ class RouterConfig:
     Every router picks its next port from d = dest - current alone: the
     table and clockwise rules read d mod n, the adaptive rule reads |d|
     and the sign of d (its ties go counter-clockwise, so u -> v and
-    v -> u can differ).  ``trace_route`` keeps the table routes and the
+    v -> u can differ).  ``trace_route`` keeps the table legs and the
     adaptive ports it has decided in this config's ``_memo``, which is not
     a field: equality, hashing and ``asdict`` see n, s1 and s2 only.
     """
@@ -86,16 +86,16 @@ class RouterConfig:
         return (self.s1, self.s2, -self.s1, -self.s2)
 
     @cached_property
-    def _memo(self) -> dict[object, dict[int, bytes | int]]:
+    def _memo(self) -> dict[object, dict[int, tuple[int, int, int, int] | int]]:
         """Route memo of ``trace_route``, living as long as this config.
 
         ``"table"`` maps an offset d = (dst - src) mod n in [1, n) to the
-        ports of its whole route, one byte per port.  Each ``AdaptiveMode``
-        maps d = dest - current in (-n, n) to the next port.  Entries are
-        added when a route first needs them, so the table dict holds no
-        more than n - 1 routes and an adaptive dict no more entries than
-        the hops routed.  Clockwise routes come from their closed form and
-        are not memoized.
+        four ints of its route's legs (``_table_legs``).  Each
+        ``AdaptiveMode`` maps d = dest - current in (-n, n) to the next
+        port.  Entries are added when a route first needs them, so the
+        table dict holds at most n - 1 legs, O(1) each, and an adaptive
+        dict no more entries than the hops routed.  Clockwise routes come
+        from their closed form and are not memoized.
         """
         return {}
 
@@ -251,34 +251,33 @@ def build_routing_table(cfg: RouterConfig) -> RoutingTable:
     return RoutingTable(cfg=cfg, ports=(None,) + row)
 
 
-_SUFFIX_HOPS = 64
+def _table_legs(offset: int, cfg: RouterConfig) -> tuple[int, int, int, int]:
+    """The table route of an offset in [1, n) as two legs.
 
-
-def _table_route(offset: int, cfg: RouterConfig, routes: dict[int, bytes]) -> bytes:
-    """Ports of the table route of an offset in [1, n), filling ``routes``.
-
-    Walks from the offset with ``_shortest_port`` until it reaches a stored
-    offset or 0.  The route of every offset it passed is a suffix of the
-    walk followed by the stored route.  Besides the requested route, the
-    suffixes of at most ``_SUFFIX_HOPS`` ports are stored, so later walks
-    stop early, yet a cold trace of L hops stores O(L) bytes, not the
-    L(L + 1)/2 of every suffix.  The distance profile is read once.
+    Returns (first, c1, second, c2): c1 hops on port ``first``, then
+    c2 = D - c1 on ``second`` (``first`` when c2 is 0).  Steps commute, so
+    a port below the one just taken would have descended a hop earlier:
+    ports never fall along a route.  A shortest route never takes both
+    directions of one generatrix, so it holds at most two ports.  c1 is
+    the largest c for which c steps on ``first`` lower the distance D by
+    c, one each.  That holds up to c1 (a prefix of a shortest route is
+    shortest) and fails above, where ``first`` would descend at the turn,
+    so bisection finds c1 in O(log D) reads of the profile, read once.
     """
     n, steps = cfg.n, cfg.port_steps()
     profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
-    passed, walk = [], bytearray()
-    d = offset
-    while d and d not in routes:
-        port = _shortest_port(profile, steps, d, n)
-        passed.append(d)
-        walk.append(port)
-        d = (d - steps[port]) % n
-    tail = routes.get(d, b"")
-    route = routes[offset] = bytes(walk) + tail
-    first = max(1, len(route) - _SUFFIX_HOPS)
-    for index in range(first, len(passed)):
-        routes[passed[index]] = route[index:]
-    return route
+    total = profile[offset]
+    first = _shortest_port(profile, steps, offset, n)
+    step = steps[first]
+    lo, hi = 1, total
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if profile[(offset - mid * step) % n] == total - mid:
+            lo = mid
+        else:
+            hi = mid - 1
+    second = _shortest_port(profile, steps, (offset - lo * step) % n, n) if lo < total else first
+    return first, lo, second, total - lo
 
 
 def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:
@@ -298,24 +297,25 @@ def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:
     return step
 
 
-def _clockwise_legs(s: int, cfg: RouterConfig) -> tuple[int, int, bool]:
+def _clockwise_legs(s: int, cfg: RouterConfig) -> tuple[int, int, int, int]:
     """The clockwise route of offset s = (dst - src) mod n in closed form.
 
-    Returns (q, r, backward): the route is q long steps, then r unit steps,
-    all in one direction.  Forward (2S <= n), q, r = divmod(S, s2); the
-    backward regime mirrors with S' = n - S.  Each hop of
-    ``_clockwise_delta`` shrinks the residual S (or S'), so the route never
-    leaves its regime, and it steps long while the residual covers s2.
+    Returns the legs (1, q, 0, r): q long steps, then r unit steps.
+    Forward (2S <= n), q, r = divmod(S, s2); the backward regime mirrors
+    with S' = n - S and ports 3 and 2.  Each hop of ``_clockwise_delta``
+    shrinks the residual S (or S'), so the route never leaves its regime,
+    and it steps long while the residual covers s2.
     """
     backward = 2 * s > cfg.n
-    return (*divmod(cfg.n - s if backward else s, cfg.s2), backward)
+    q, r = divmod(cfg.n - s if backward else s, cfg.s2)
+    return (3, q, 2, r) if backward else (1, q, 0, r)
 
 
 def clockwise_hop_count(src: int, dst: int, cfg: RouterConfig) -> int:
     """Closed-form clockwise route length, q + r (see ``_clockwise_legs``)."""
     _check_node(src, cfg.n, "src")
     _check_node(dst, cfg.n, "dst")
-    q, r, _ = _clockwise_legs((dst - src) % cfg.n, cfg)
+    _, q, _, r = _clockwise_legs((dst - src) % cfg.n, cfg)
     return q + r
 
 
@@ -391,16 +391,13 @@ def trace_route(
     clockwise rules read d mod n, the adaptive rule |d| and its sign.
 
     So a table or clockwise route from src is the route of the offset
-    (dst - src) mod n from 0, moved by src, and neither is walked hop by
-    hop.  A clockwise route is its closed form (``_clockwise_legs``); a
-    clockwise route too long to list raises ``ValidationError``.  A table
-    route's ports are read from the config's memo, one ``bytes`` per
-    offset, filled on a miss by ``_table_route``.  The nodes are then
-    built in C, from two ranges or from the accumulated steps.  Neither
-    rule can livelock: every hop strictly lowers the distance to dst, or
-    the clockwise residual.  Only the table rule reads an n-entry
-    structure (the distance profile), on a memo miss and at most once per
-    trace, so a warm trace never asks for it.
+    (dst - src) mod n from 0, moved by src.  Both are two legs, built in C
+    with no loop per hop: ports as two repeated tuples, nodes as two
+    ranges reduced mod n; a route too long to list raises
+    ``ValidationError``.  Table legs are memoized per offset, and a miss
+    reads the distance profile once (``_table_legs``), so a warm trace
+    never asks for it.  Neither rule can livelock: every hop strictly
+    lowers the distance to dst, or the clockwise residual.
 
     An adaptive hop's port is read from the config's memo for this mode, a
     dict keyed by d, and a missing d is filled from ``_adaptive_delta``.
@@ -417,28 +414,29 @@ def trace_route(
     _check_node(dst, n, "dst")
 
     steps = cfg.port_steps()
-    if algorithm == "table":
+    if algorithm != "adaptive":
         offset = (dst - src) % n
-        routes = cfg._memo.setdefault("table", {})
-        route = routes.get(offset)
-        if route is None:
-            route = _table_route(offset, cfg, routes) if offset else b""
-        nodes = tuple([*map(mod, accumulate(map(steps.__getitem__, route), initial=src), repeat(n))])
-        ports = tuple(route)
-    elif algorithm == "clockwise":
-        q, r, backward = _clockwise_legs((dst - src) % n, cfg)
-        long_port, unit_port = (3, 2) if backward else (1, 0)
-        long, unit = steps[long_port], steps[unit_port]
-        turn = src + q * long
+        if algorithm == "clockwise":
+            legs = _clockwise_legs(offset, cfg)
+        elif not offset:
+            legs = (0, 0, 0, 0)
+        else:
+            memo = cfg._memo.setdefault("table", {})
+            legs = memo.get(offset)
+            if legs is None:
+                legs = memo[offset] = _table_legs(offset, cfg)
+        first, count1, second, count2 = legs
+        step1, step2 = steps[first], steps[second]
+        turn = src + count1 * step1
         try:
-            ports = (long_port,) * q + (unit_port,) * r
+            ports = (first,) * count1 + (second,) * count2
             nodes = tuple([
-                *map(mod, range(src, turn, long), repeat(n)),
-                *map(mod, range(turn, turn + (r + 1) * unit, unit), repeat(n)),
+                *map(mod, range(src, turn, step1), repeat(n)),
+                *map(mod, range(turn, turn + (count2 + 1) * step2, step2), repeat(n)),
             ])
         except (OverflowError, MemoryError):
             raise ValidationError(
-                f"a clockwise route of {q + r} hops is too large for a node list"
+                f"a {algorithm} route of {count1 + count2} hops is too large for a node list"
             ) from None
     else:
         memo = cfg._memo.setdefault(mode, {})

@@ -41,6 +41,24 @@ def ref_ring_profile(n, s2):
     return dist
 
 
+def ref_table_walk(u, v, n, s2):
+    """Table route from u to v in C(n; 1, s2), walked one hop at a time.
+
+    Each hop leaves by the lowest port (0: +1, 1: +s2, 2: -1, 3: -s2)
+    whose neighbour is one hop closer to v by ``ref_ring_profile``.
+    Returns (nodes, ports).
+    """
+    profile = ref_ring_profile(n, s2)
+    steps = (1, s2, -1, -s2)
+    nodes, ports = [u], []
+    while nodes[-1] != v:
+        left = (v - nodes[-1]) % n
+        port = next(p for p in range(4) if profile[(left - steps[p]) % n] == profile[left] - 1)
+        ports.append(port)
+        nodes.append((nodes[-1] + steps[port]) % n)
+    return tuple(nodes), tuple(ports)
+
+
 def ref_pair_profile(n, s1, s2):
     """BFS distances from node 0 in C(n; s1, s2), built arithmetically."""
     neighbors = [{(v + s) % n for s in (s1, s2, -s1, -s2)} for v in range(n)]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from oracles import (
     ref_bfs,
     ref_neighbors,
     ref_ring_profile,
+    ref_table_walk,
     ring_s2_values,
 )
 
@@ -516,6 +518,8 @@ def test_trace_length_translation_invariance_by_offset(n, data):
 
 
 def test_table_memo_holds_one_route_per_offset_and_clockwise_none():
+    # each offset in [1, n) keeps the two legs of its route, four ints;
+    # offset 0 and clockwise routes keep nothing
     for n, s2 in [(8, 3), (30, 13), (100, 44), (101, 10)]:
         cfg = RouterConfig(n, 1, s2)
         profile = ref_ring_profile(n, s2)
@@ -526,29 +530,40 @@ def test_table_memo_holds_one_route_per_offset_and_clockwise_none():
         assert set(cfg._memo) == {"table"}
         routes = cfg._memo["table"]
         assert set(routes) == set(range(1, n))
-        for d, route in routes.items():
-            assert isinstance(route, bytes) and len(route) == profile[d], (n, s2, d)
+        for d, legs in routes.items():
+            assert len(legs) == 4 and all(type(x) is int for x in legs), (n, s2, d)
+            first, count1, second, count2 = legs
+            assert count1 + count2 == profile[d], (n, s2, d)
+            assert count2 == 0 or first < second, (n, s2, d)
 
 
-def test_long_cold_table_route_stores_bytes_linear_in_its_hops():
-    # storing every suffix of a 5000-hop walk would keep 12.5 MB; only the
-    # route and the suffixes of at most 64 ports are kept
+def test_long_cold_table_route_stores_one_legs_entry():
+    # a cold 5000-hop route adds one entry of four ints, however long it is
     n = 20001
     cfg = RouterConfig(n, 1, 2)
     profile = circulant_distance_profile(n, (1, 2))
     trace = trace_route("table", 0, 10000, cfg)
-    routes = cfg._memo["table"]
     assert trace.hops == profile[10000] == 5000
-    assert sum(map(len, routes.values())) <= trace.hops + 64 * 65 // 2
-    assert len(routes) <= 65
-    for d, route in routes.items():
-        assert len(route) == profile[d]
-    # a later walk stops at a stored suffix and routes along the rule
+    assert list(cfg._memo["table"]) == [10000]
+    # a later route is the one routed on a fresh config, along the table
     later = trace_route("table", 0, 9000, cfg)
     assert later == trace_route("table", 0, 9000, RouterConfig(n, 1, 2))
     assert later.hops == profile[9000]
     table = build_routing_table(cfg)
     assert all(table.port(a, 9000) == p for a, p in zip(later.nodes, later.ports))
+
+
+@given(st.integers(min_value=5, max_value=3000), st.data())
+def test_table_trace_equals_a_lowest_port_walk(n, data):
+    # s2 = 2 and s2 = (n - 1) // 2 give legs of hundreds of hops, where an
+    # off-by-one in the bisection for the first leg would show
+    s2 = data.draw(st.sampled_from([2, (n - 1) // 2, None]))
+    if s2 is None:
+        s2 = data.draw(st.integers(min_value=2, max_value=(n - 1) // 2))
+    u = data.draw(st.integers(min_value=0, max_value=n - 1))
+    v = (u + data.draw(st.integers(min_value=1, max_value=n - 1))) % n
+    trace = trace_route("table", u, v, RouterConfig(n, 1, s2))
+    assert (trace.nodes, trace.ports) == ref_table_walk(u, v, n, s2), (n, s2, u, v)
 
 
 def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
@@ -581,3 +596,14 @@ def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
             lines, hops = lines_run(algorithm, dst, cfg)
             counts.setdefault(lines, []).append(hops)
         assert len(counts) == 1 and max(sum(counts.values(), [])) >= 10, (algorithm, counts)
+
+    # a cold trace bisects for its first leg: a 5000-hop route may run only
+    # the extra bisection steps, four lines each, over a 2-hop one.  Both
+    # are one leg of port 1, and the profile is cached before either.
+    n = 20001
+    circulant_distance_profile(n, (1, 2))
+    short_lines, short_hops = lines_run("table", 4, RouterConfig(n, 1, 2))
+    long_lines, long_hops = lines_run("table", 10000, RouterConfig(n, 1, 2))
+    assert (short_hops, long_hops) == (2, 5000)
+    extra = long_lines - short_lines
+    assert 0 <= extra <= 4 * math.ceil(math.log2(long_hops)), (short_lines, long_lines)
