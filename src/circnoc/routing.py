@@ -11,18 +11,20 @@ Three per-hop strategies share one four-port router model:
                    long as the needed wrap count stays within its bound.
 
 Ports are numbered clockwise: 0 -> +s1, 1 -> +s2, 2 -> -s1, 3 -> -s2.
-A table or clockwise route is two legs of one port each.  Everything here
-is a pure function of its inputs; tables and traces are immutable once
-built, and a config's route memo only keeps what the rules return.
+A table or clockwise route is two legs of one port each, listed as ranges
+reduced mod n only where a leg crosses label 0.  Everything here is pure;
+tables and traces are immutable, and a route memo keeps only rule output.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import mod
+from typing import NamedTuple
 
 from .errors import LivelockError, ValidationError
 from .topology import CirculantSpec, circulant_distance_profile
@@ -180,8 +182,7 @@ class RoutingTable:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RouteTrace:
+class RouteTrace(NamedTuple):
     """Ordered node and port sequence of one routed packet."""
 
     algorithm: str
@@ -198,7 +199,7 @@ class RouteTrace:
         return len(self.ports)
 
     def to_json(self) -> str:
-        return dataclass_json(self, {"hops": "ports"})
+        return json.dumps({**self._asdict(), "hops": self.hops})
 
 
 def dataclass_json(obj, derived: dict[str, str] | None = None, indent: int | None = None) -> str:
@@ -393,11 +394,12 @@ def trace_route(
     So a table or clockwise route from src is the route of the offset
     (dst - src) mod n from 0, moved by src.  Both are two legs, built in C
     with no loop per hop: ports as two repeated tuples, nodes as two
-    ranges reduced mod n; a route too long to list raises
-    ``ValidationError``.  Table legs are memoized per offset, and a miss
-    reads the distance profile once (``_table_legs``), so a warm trace
-    never asks for it.  Neither rule can livelock: every hop strictly
-    lowers the distance to dst, or the clockwise residual.
+    ranges, and only a leg that crosses the seam between n - 1 and 0 is
+    reduced mod n.  A route too long to list raises ``ValidationError``.
+    Table legs are memoized per offset, and a miss reads the distance
+    profile once (``_table_legs``), so a warm trace never asks for it.
+    Neither rule can livelock: every hop strictly lowers the distance to
+    dst, or the clockwise residual.
 
     An adaptive hop's port is read from the config's memo for this mode, a
     dict keyed by d, and a missing d is filled from ``_adaptive_delta``.
@@ -405,7 +407,9 @@ def trace_route(
     that revisits a node repeats forever.  A walk of n - 1 hops that has
     not arrived has visited n nodes other than dst, so by pigeonhole it
     has revisited one; the trace then raises ``LivelockError`` naming the
-    algorithm, topology, pair and cycle.
+    algorithm, topology, pair and cycle.  A hop moves at most s2 labels, so
+    a walk too long to list, ceil(min(S, n - S) / s2) > ``sys.maxsize``
+    hops for S = (dst - src) mod n, raises ``ValidationError`` unwalked.
     """
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -428,17 +432,21 @@ def trace_route(
         first, count1, second, count2 = legs
         step1, step2 = steps[first], steps[second]
         turn = src + count1 * step1
+        end = turn + count2 * step2
+        leg1, leg2 = range(src, turn, step1), range(turn, end + step2, step2)
         try:
             ports = (first,) * count1 + (second,) * count2
             nodes = tuple([
-                *map(mod, range(src, turn, step1), repeat(n)),
-                *map(mod, range(turn, turn + (count2 + 1) * step2, step2), repeat(n)),
+                *(leg1 if 0 <= turn - step1 < n else map(mod, leg1, repeat(n))),
+                *(leg2 if 0 <= turn < n and 0 <= end < n else map(mod, leg2, repeat(n))),
             ])
         except (OverflowError, MemoryError):
             raise ValidationError(
                 f"a {algorithm} route of {count1 + count2} hops is too large for a node list"
             ) from None
     else:
+        if (least := -(-min((dst - src) % n, (src - dst) % n) // cfg.s2)) > sys.maxsize:
+            raise ValidationError(f"an adaptive route of at least {least} hops is too large for a node list")
         memo = cfg._memo.setdefault(mode, {})
         nodes = [src]
         ports = []
@@ -466,13 +474,4 @@ def trace_route(
                 cycle,
             )
         nodes, ports = tuple(nodes), tuple(ports)
-    return RouteTrace(
-        algorithm=algorithm,
-        n=n,
-        s1=cfg.s1,
-        s2=cfg.s2,
-        src=src,
-        dst=dst,
-        nodes=nodes,
-        ports=ports,
-    )
+    return RouteTrace(algorithm, n, cfg.s1, cfg.s2, src, dst, nodes, ports)

@@ -59,6 +59,25 @@ def ref_table_walk(u, v, n, s2):
     return tuple(nodes), tuple(ports)
 
 
+def ref_clockwise_walk(u, v, n, s2):
+    """Clockwise route from u to v in C(n; 1, s2), walked one hop at a time.
+
+    With S = (v - current) mod n, a hop goes forward while 2S <= n, by s2
+    while S >= s2 and by 1 otherwise; backward it goes by -s2 while
+    n - S >= s2 and by -1 otherwise.  Returns (nodes, ports).
+    """
+    nodes, ports = [u], []
+    while nodes[-1] != v:
+        left = (v - nodes[-1]) % n
+        if 2 * left <= n:
+            port, step = (1, s2) if left >= s2 else (0, 1)
+        else:
+            port, step = (3, -s2) if n - left >= s2 else (2, -1)
+        ports.append(port)
+        nodes.append((nodes[-1] + step) % n)
+    return tuple(nodes), tuple(ports)
+
+
 def ref_pair_profile(n, s1, s2):
     """BFS distances from node 0 in C(n; s1, s2), built arithmetically."""
     neighbors = [{(v + s) % n for s in (s1, s2, -s1, -s2)} for v in range(n)]

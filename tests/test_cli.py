@@ -168,6 +168,23 @@ def test_clockwise_route_too_large_to_list_exits_one(capsys):
     )
 
 
+def test_adaptive_route_too_large_to_list_exits_one(capsys):
+    # each hop moves at most s2 = 3 labels, so 0 -> n/2 needs over 10^29
+    # hops and is refused before the walk; a near destination still routes
+    ring = ("--algorithm", "adaptive", "--circulant", "1000000000000000000000000000000,1,3")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "route", *ring, "--src", "0", "--dst", "500000000000000000000000000000")
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert err == (
+        "error: an adaptive route of at least 166666666666666666666666666667 hops "
+        "is too large for a node list\n"
+    )
+    code, out, _ = run(capsys, "route", *ring, "--src", "0", "--dst", "3")
+    assert code == 0
+    assert "0 -> 3" in out and "hops = 1" in out
+
+
 def test_route_without_a_wrap_bound(capsys):
     code, out, _ = run(
         capsys, "route", "--algorithm", "adaptive", "--circulant", "100,1,44",

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -28,6 +27,7 @@ from oracles import (
     ref_adaptive_delta,
     ref_adaptive_walk,
     ref_bfs,
+    ref_clockwise_walk,
     ref_neighbors,
     ref_ring_profile,
     ref_table_walk,
@@ -463,19 +463,28 @@ def test_trace_livelock_bound_is_exact():
 
 
 def test_trace_json_shape():
-    payload = json.loads(trace_route("adaptive", 0, 37, C100).to_json())
-    assert payload == {
-        "algorithm": "adaptive",
-        "n": 100,
-        "s1": 1,
-        "s2": 44,
-        "src": 0,
-        "dst": 37,
-        "nodes": [0, 56, 12, 68, 24, 80, 36, 37],
-        "ports": payload["ports"],
-        "hops": 7,
+    # key order and spacing are part of the trace file, not only its values
+    pinned = {
+        ("table", 37): '{"algorithm": "table", "n": 100, "s1": 1, "s2": 44, "src": 0, "dst": 37, '
+        '"nodes": [0, 1, 57, 13, 69, 25, 81, 37], "ports": [0, 3, 3, 3, 3, 3, 3], "hops": 7}',
+        ("clockwise", 53): '{"algorithm": "clockwise", "n": 100, "s1": 1, "s2": 44, "src": 0, '
+        '"dst": 53, "nodes": [0, 56, 55, 54, 53], "ports": [3, 2, 2, 2], "hops": 4}',
+        ("adaptive", 37): '{"algorithm": "adaptive", "n": 100, "s1": 1, "s2": 44, "src": 0, '
+        '"dst": 37, "nodes": [0, 56, 12, 68, 24, 80, 36, 37], "ports": [3, 3, 3, 3, 3, 3, 0], '
+        '"hops": 7}',
     }
-    assert len(payload["ports"]) == 7
+    for (algorithm, dst), text in pinned.items():
+        assert trace_route(algorithm, 0, dst, C100).to_json() == text
+
+
+def test_traces_are_immutable_values():
+    for algorithm in ("table", "clockwise", "adaptive"):
+        trace = trace_route(algorithm, 0, 37, C100)
+        with pytest.raises(AttributeError):
+            trace.nodes = ()
+        twin = trace_route(algorithm, 0, 37, RouterConfig(100, 1, 44))
+        assert twin is not trace
+        assert twin == trace and hash(twin) == hash(trace)
 
 
 # --- closed-form candidates ----------------------------------------------------------
@@ -588,6 +597,7 @@ def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
         return count, trace.hops
 
     cfg = RouterConfig(1024, 1, 90)
+    lines_by_algorithm = {}
     for algorithm in ("table", "clockwise"):
         for dst in (91, 1024 - 91, 512, 89, 1024 - 89):
             trace_route(algorithm, 0, dst, cfg)
@@ -596,6 +606,24 @@ def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
             lines, hops = lines_run(algorithm, dst, cfg)
             counts.setdefault(lines, []).append(hops)
         assert len(counts) == 1 and max(sum(counts.values(), [])) >= 10, (algorithm, counts)
+        lines_by_algorithm[algorithm] = next(iter(counts))
+
+    # legs inside [0, n), across the seam between n - 1 and 0 once, and over
+    # several laps: each runs as many lines as the routes above and equals
+    # the route walked one hop at a time
+    walks = {"table": ref_table_walk, "clockwise": ref_clockwise_walk}
+    for algorithm, seam_cfg, dst in [
+        ("table", cfg, 91),                            # inside [0, n)
+        ("clockwise", cfg, 91),
+        ("clockwise", cfg, 935),                       # 89 unit steps back from 0
+        ("table", RouterConfig(22, 1, 10), 6),         # five +10 steps
+        ("table", RouterConfig(1024, 1, 450), 358),    # 19 x 450, eight laps
+    ]:
+        trace = trace_route(algorithm, 0, dst, seam_cfg)
+        assert (trace.nodes, trace.ports) == walks[algorithm](0, dst, seam_cfg.n, seam_cfg.s2)
+        assert lines_run(algorithm, dst, seam_cfg)[0] == lines_by_algorithm[algorithm], (
+            algorithm, seam_cfg, dst,
+        )
 
     # a cold trace bisects for its first leg: a 5000-hop route may run only
     # the extra bisection steps, four lines each, over a 2-hop one.  Both
