@@ -23,10 +23,10 @@ from .routing import (
     RouteTrace,
     RouterConfig,
     _check_node,
+    _route_runs,
     _scan,
     dataclass_json,
     payload_bits,
-    trace_route,
 )
 from .topology import circulant_distance_profile
 
@@ -99,16 +99,17 @@ def efficiency_k(
     """Efficiency criterion K = (algorithm hops) / (shortest-path hops).
 
     Both totals sum routes from ``source`` to every other node.  The
-    shortest-path side is the sum of the cached distance profile from node
-    0: circulants are vertex-transitive, so every source has the same
-    distance multiset and the same total.
+    algorithm side adds up the counts of each route's runs and lists no
+    nodes.  The shortest-path side is the sum of the cached distance
+    profile from node 0: circulants are vertex-transitive, so every source
+    has the same distance multiset and the same total.
     """
     _check_node(source, cfg.n, "source")
     hops_oracle = sum(circulant_distance_profile(cfg.n, (cfg.s1, cfg.s2)))
     hops_algorithm = 0
     for dest in range(cfg.n):
         if dest != source:
-            hops_algorithm += trace_route(algorithm, source, dest, cfg, mode).hops
+            hops_algorithm += sum(_route_runs(algorithm, source, dest, cfg, mode)[1::2])
     return EfficiencyReport(
         k=hops_algorithm / hops_oracle,
         hops_algorithm=hops_algorithm,
@@ -120,11 +121,12 @@ def efficiency_k(
 def route_cycle_count(trace: RouteTrace) -> int:
     """Full ring wraps of a route's net signed displacement.
 
-    Sums the signed generatrix steps along the trace and counts how many
-    times the total crosses the ring size.
+    The displacement is each port's hop count times its step, read with
+    ``tuple.count`` and no loop per hop, and the wraps are how many times
+    it covers the ring size.
     """
-    steps = (trace.s1, trace.s2, -trace.s1, -trace.s2)
-    total = sum(steps[port] for port in trace.ports)
+    count = trace.ports.count
+    total = trace.s1 * (count(0) - count(2)) + trace.s2 * (count(1) - count(3))
     return abs(total) // trace.n
 
 

@@ -7,9 +7,8 @@ usage or output-file error, or a route that livelocks (revisits a node, as
 the printed adaptive variant can; the error names the cycle); 2 an
 unexpected exception (its traceback is printed), and ``fuzz`` when it
 finds a livelock.  Table routing reads an n-entry distance profile, and
-a clockwise ``route`` lists all of its hops, so a ring or a route too
-large to allocate exits 1.  Adaptive ``route`` keeps only the hops it
-routes.
+``route`` lists all of a route's hops, counted from its runs first, so a
+ring or a route too large to allocate exits 1.
 """
 
 from __future__ import annotations

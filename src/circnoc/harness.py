@@ -28,7 +28,7 @@ from .analysis import (
     resource_usage,
 )
 from .errors import LivelockError, ValidationError
-from .routing import ALGORITHMS, CORRECTED, AdaptiveMode, RouterConfig, dataclass_json, trace_route
+from .routing import ALGORITHMS, CORRECTED, AdaptiveMode, RouterConfig, _route_runs, dataclass_json
 from .topology import SELECTION_RULES, compare_topologies, search_best_ring_circulant
 
 __all__ = [
@@ -135,6 +135,18 @@ def _rows_cycles(config: ExperimentConfig) -> list[tuple]:
 
 
 def _meta_cycles(rows: list[tuple]) -> dict:
+    """The first n whose best ring needs more than two wraps, against the reference.
+
+    ``best_ring`` gives 114 where the reference says 174.  No selection of
+    a least-diameter ring reaches 174: at n = 142 and 160 every C(n; 1, t)
+    of least diameter needs 3 wraps, and at n = 114 every one of least
+    (diameter, total) does.  Six selection rules (least (D, total), least D
+    or least total, each with the smallest or largest t) give 102 to 142,
+    and three wrap definitions (fewest or most wraps over shortest
+    candidates, wraps of the unbounded corrected route) all give 114.  So
+    the reference used non-optimal rings at those sizes, other n, or
+    another wrap count; the values reported here stay as they are.
+    """
     first_n = next((n for n, _, cycles in rows if cycles > 2), None)
     return {
         "first_n_exceeding_two": first_n,
@@ -301,9 +313,11 @@ def fuzz_termination(config: FuzzConfig) -> FuzzReport:
     """Route seeded random (n, s2, src, dst, algorithm) tuples to completion.
 
     A route that livelocks is recorded with the tuple needed to reproduce
-    it, the adaptive variant and wrap bound included; ``trace_route``
-    proves a livelock within n - 1 hops.  Only the printed variant can
-    livelock, so a corrected run reports none.
+    it, the adaptive variant and wrap bound included.  Each route is found
+    as its runs of one port (``_route_runs``) and never listed, so a route
+    of 10**26 hops on a huge ring costs a few runs; a repeated run start
+    proves a livelock.  Only the printed variant can livelock, so a
+    corrected run reports none.
     """
     rng = random.Random(config.seed)
     livelocks = []
@@ -315,7 +329,7 @@ def fuzz_termination(config: FuzzConfig) -> FuzzReport:
         algorithm = ALGORITHMS[rng.randrange(len(ALGORITHMS))]
         cfg = RouterConfig(n, 1, s2)
         try:
-            trace_route(algorithm, src, dst, cfg, config.mode)
+            _route_runs(algorithm, src, dst, cfg, config.mode)
         except LivelockError:
             livelocks.append(
                 {

@@ -1,6 +1,6 @@
 """Routing strategies for ring circulants C(n; 1, s2).
 
-Three per-hop strategies share one four-port router model:
+Three strategies share one four-port router model:
 
 * ``table``     -- next hops precomputed from shortest-path distances and
                    stored per label difference (one n-entry row);
@@ -11,15 +11,17 @@ Three per-hop strategies share one four-port router model:
                    long as the needed wrap count stays within its bound.
 
 Ports are numbered clockwise: 0 -> +s1, 1 -> +s2, 2 -> -s1, 3 -> -s2.
-A table or clockwise route is two legs of one port each, listed as ranges
-reduced mod n only where a leg crosses label 0.  Everything here is pure;
-tables and traces are immutable, and a route memo keeps only rule output.
+Every router gives a route in one internal form, a short flat tuple of
+(port, count) runs: table and clockwise routes are two runs, adaptive runs
+come from the candidate scan's arithmetic.  A trace lists the runs as
+ranges, reduced mod n only where a run crosses label 0.  Everything here
+is pure; tables and traces are immutable, and a route memo keeps only rule
+output.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import repeat
@@ -58,8 +60,8 @@ class RouterConfig:
     Every router picks its next port from d = dest - current alone: the
     table and clockwise rules read d mod n, the adaptive rule reads |d|
     and the sign of d (its ties go counter-clockwise, so u -> v and
-    v -> u can differ).  ``trace_route`` keeps the table legs and the
-    adaptive ports it has decided in this config's ``_memo``, which is not
+    v -> u can differ).  ``trace_route`` keeps the table runs and the
+    adaptive runs it has decided in this config's ``_memo``, which is not
     a field: equality, hashing and ``asdict`` see n, s1 and s2 only.
     """
 
@@ -87,17 +89,21 @@ class RouterConfig:
         """Signed node-label steps by port number (clockwise numbering)."""
         return (self.s1, self.s2, -self.s1, -self.s2)
 
+    # ``port_steps()`` kept for the routers, which read it on every route.
+    _steps = cached_property(port_steps)
+
     @cached_property
     def _memo(self) -> dict[object, dict[int, tuple[int, int, int, int] | int]]:
         """Route memo of ``trace_route``, living as long as this config.
 
         ``"table"`` maps an offset d = (dst - src) mod n in [1, n) to the
-        four ints of its route's legs (``_table_legs``).  Each
-        ``AdaptiveMode`` maps d = dest - current in (-n, n) to the next
-        port.  Entries are added when a route first needs them, so the
-        table dict holds at most n - 1 legs, O(1) each, and an adaptive
-        dict no more entries than the hops routed.  Clockwise routes come
-        from their closed form and are not memoized.
+        four ints of its route's two runs (``_table_legs``).  Each
+        ``AdaptiveMode`` maps d = dest - current in (-n, n) to the run that
+        starts there, packed in one int (``_adaptive_run``).  Entries are
+        added when a route first needs them, so the table dict holds at
+        most n - 1 entries and an adaptive dict at most 2n - 2, one int or
+        one 4-tuple each, and no more than the runs routed.  Clockwise
+        routes come from their closed form and are not memoized.
         """
         return {}
 
@@ -349,6 +355,71 @@ def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int
     return best, wraps, unit
 
 
+def _adaptive_run(d: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
+    """The adaptive run from a node at d = dest - current != 0, as one int.
+
+    Returns ``count << 3 | seam << 2 | port``: the next ``count`` hops all
+    leave by ``port``, except that a ``seam`` run also ends on the hop that
+    crosses label 0 (``_adaptive_runs`` cuts it there).  The port is the
+    rule's: with S = |d|, the toward scan T covers S, the away scan A covers
+    n - S (corrected) or S + n (printed); T < A steps toward dest, anything
+    else away, and the sign of d mirrors the step.
+
+    A candidate covering b labels takes f(b) = b // s2 + min(r, s2 + 1 - r)
+    hops, r = b % s2, and a scan's value is the least f over b + m*n.  Then
+    s2 more labels cost exactly one more hop, and one more label changes f
+    by at most one.  Along a run:
+
+    * long steps toward dest take s2 off every toward base, so each toward
+      candidate loses exactly one hop per hop and A gains one (corrected) or
+      loses one (printed): comparison and winner hold until a step reaches
+      or passes dest, ceil(S / s2) hops;
+    * unit steps toward dest follow the winner q + r, which loses exactly
+      one hop per hop while r falls to 0; no other candidate of either scan
+      falls faster, so it stays first and least: S % s2 hops;
+    * corrected steps away are the same two cases on n - S:
+      ceil((n - S) / s2) long or (n - S) % s2 unit hops;
+    * printed long steps away add s2 to both bases, so every candidate gains
+      one hop per hop and the decision holds until label 0 is crossed,
+      within ceil((n - S) / s2) hops;
+    * printed unit steps away raise the winner's r by one per hop, so it
+      gains exactly one hop per hop while 2r <= s2, and no other candidate
+      gains faster: the hops it still wins form a prefix, which bisection
+      finds.
+
+    Crossing label 0 turns S into n - S.  Both printed scans change there,
+    so every printed run is a seam run.  The corrected scans read the
+    offset d mod n, the same on both sides, and only the direction of a tie
+    T == A follows the sign of d: the step at d and at d - n differ exactly
+    where the scans tie.  A long step leaves T and A two hops apart, so the
+    decision is strict after one hop; along unit steps they can stay tied,
+    so a unit run that starts at a tie is a seam run too.
+    """
+    n, s2, bound = cfg.n, cfg.s2, mode.max_cycles
+    s = abs(d)
+    printed = mode.variant == "printed"
+    toward, _, unit_toward = _scan(s, n, s2, bound)
+    away, _, unit_away = _scan(s + n if printed else n - s, n, s2, bound)
+    if toward < away:
+        port, count = (0, s % s2) if unit_toward else (1, -(-s // s2))
+    elif not unit_away:
+        port, count = 3, -(-(n - s) // s2)
+    elif not printed:
+        port, count = 2, (n - s) % s2
+    else:
+        lo, hi = 0, min(s2 // 2 - (s + n) % s2, n - 1 - s)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            later, _, unit = _scan(s + mid + n, n, s2, bound)
+            if unit and _scan(s + mid, n, s2, bound)[0] >= later:
+                lo = mid
+            else:
+                hi = mid - 1
+        port, count = 2, lo + 1
+    seam = printed or (port == 2 and toward == away)
+    return count << 3 | seam << 2 | (port ^ 2 if d < 0 else port)
+
+
 def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
     """Adaptive routing rule: the signed step from current toward dest != current.
 
@@ -357,7 +428,8 @@ def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMo
     (or S + n in printed mode), each extended by full wraps up to
     ``mode.max_cycles``.  A clockwise win gives +s1/+s2, otherwise the
     step is negative; ties go counter-clockwise.  The sign is mirrored
-    when dest lies below current.
+    when dest lies below current.  This is the first hop of
+    ``_adaptive_run``, which decides it once for the whole run.
 
     Lemma (corrected variant, any ``max_cycles``): let V(u, v) be the
     smaller of the two scan values, with V(v, v) = 0.  Then every hop has
@@ -367,16 +439,139 @@ def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMo
     unit step fewer, or, after an overshoot without a wrap, the unit-step
     form of the other direction.  The next scan finds it or a better one.
     """
-    n, s2 = cfg.n, cfg.s2
-    s = abs(dest - current)
-    best_right, _, unit_right = _scan(s, n, s2, mode.max_cycles)
-    left_base = s + n if mode.variant == "printed" else n - s
-    best_left, _, unit_left = _scan(left_base, n, s2, mode.max_cycles)
-    if best_right < best_left:
-        step = cfg.s1 if unit_right else s2
-    else:
-        step = -(cfg.s1 if unit_left else s2)
-    return step if current < dest else -step
+    return cfg._steps[_adaptive_run(dest - current, cfg, mode) & 3]
+
+
+def _adaptive_runs(src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode) -> tuple[int, ...]:
+    """The adaptive route from src to dst as flat (port, count) runs.
+
+    Each run is read from the config's memo for this mode, keyed by
+    d = dst - current, and a missing d is filled from ``_adaptive_run``; a
+    seam run is cut at the hop that crosses label 0.  Runs of one port
+    that follow each other are merged.  A corrected walk arrives within
+    V(src, dst) hops (``_adaptive_delta``'s lemma).  A printed walk can
+    livelock: the router picks its next hop from (current, dst) alone, and
+    so the next run too, so a walk that starts a run at a node twice
+    repeats forever.  ``LivelockError`` then names the cycle, from the
+    first node the listed walk revisits back to it.
+    """
+    n, steps = cfg.n, cfg._steps
+    memo = cfg._memo.setdefault(mode, {})
+    runs: list[int] = []
+    starts = set() if mode.variant == "printed" else None
+    last = -1
+    current = src
+    while current != dst:
+        if starts is not None:
+            if current in starts:
+                raise _livelock_error(src, dst, runs, cfg)
+            starts.add(current)
+        try:
+            packed = memo[dst - current]
+        except KeyError:
+            packed = memo[dst - current] = _adaptive_run(dst - current, cfg, mode)
+        port, count = packed & 3, packed >> 3
+        step = steps[port]
+        if packed & 4:
+            count = min(count, (n - 1 - current) // step + 1 if step > 0 else current // -step + 1)
+        if port == last:
+            runs[-1] += count
+        else:
+            runs += port, count
+            last = port
+        current = (current + count * step) % n
+    return tuple(runs)
+
+
+def _livelock_error(src: int, dst: int, runs: list[int], cfg: RouterConfig) -> LivelockError:
+    """The livelock of an adaptive walk, naming the cycle its listed nodes close first.
+
+    A walk too long to list is still reported as a livelock, with its hop
+    count in place of the cycle.
+    """
+    head = f"adaptive routing livelocks in {cfg} for pair {src} -> {dst}"
+    try:
+        nodes = _route_nodes("adaptive", src, runs, cfg)[0]
+    except ValidationError:
+        return LivelockError(f"{head}: its walk of {sum(runs[1::2])} hops is too long to list")
+    seen: dict[int, int] = {}
+    for index, node in enumerate(nodes):
+        if node in seen:
+            break
+        seen[node] = index
+    cycle = nodes[seen[node]:index + 1]
+    return LivelockError(f"{head}: cycle {' -> '.join(map(str, cycle))}", cycle)
+
+
+def _route_runs(
+    algorithm: str, src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode
+) -> tuple[int, ...]:
+    """The route from src to dst as a flat tuple of (port, count) runs.
+
+    Table and clockwise routes are two runs (the second may be empty):
+    each rule reads d = (dst - current) mod n alone, so the route from src
+    is that of the offset (dst - src) mod n from 0.  Table runs are
+    memoized per offset, and a miss reads the distance profile once
+    (``_table_legs``), so a warm route never asks for it.  Neither rule can
+    livelock: every hop strictly lowers the distance to dst, or the
+    clockwise residual.  Adaptive runs come from ``_adaptive_runs``.
+    """
+    if algorithm == "adaptive":
+        return _adaptive_runs(src, dst, cfg, mode)
+    offset = (dst - src) % cfg.n
+    if algorithm == "clockwise":
+        return _clockwise_legs(offset, cfg)
+    if algorithm != "table":
+        raise ValidationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if not offset:
+        return ()
+    memo = cfg._memo.setdefault("table", {})
+    legs = memo.get(offset)
+    if legs is None:
+        legs = memo[offset] = _table_legs(offset, cfg)
+    return legs
+
+
+def _route_nodes(
+    algorithm: str, src: int, runs: tuple[int, ...] | list[int], cfg: RouterConfig
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The nodes and ports of a route from src, listed from its runs in C.
+
+    Each run is one ``range`` of nodes, with no loop per hop.  A run whose
+    nodes all lie in [0, n) goes in as that plain range, and one that
+    crosses the seam between n - 1 and 0 once as two, split at the first
+    node past it.  Only a run that laps the ring is reduced mod n node by
+    node.  Both tuples are built at their exact size.  A route too long to
+    list raises ``ValidationError``.
+    """
+    n, steps = cfg.n, cfg._steps
+    nodes = [src]
+    ports: tuple[int, ...] = ()
+    node = src
+    pairs = iter(runs)
+    try:
+        for port, count in zip(pairs, pairs):
+            step = steps[port]
+            end = node + count * step
+            ports += (port,) * count
+            if 0 <= end < n:
+                nodes += range(node + step, end + step, step)
+            elif -n <= end < 2 * n:
+                cut = node + ((n - 1 - node) // step + 1 if step > 0 else node // -step + 1) * step
+                lap = n if step > 0 else -n
+                nodes += range(node + step, cut, step)
+                end -= lap
+                nodes += range(cut - lap, end + step, step)
+            else:
+                nodes += map(mod, range(node + step, end + step, step), repeat(n))
+                end %= n
+            node = end
+        return tuple(nodes), ports
+    except (OverflowError, MemoryError):
+        article = "an" if algorithm == "adaptive" else "a"
+        raise ValidationError(
+            f"{article} {algorithm} route of {sum(runs[1::2])} hops is too large for a node list"
+        ) from None
 
 
 def trace_route(
@@ -389,89 +584,15 @@ def trace_route(
     """Trace a packet from src to dst, recording nodes and ports per hop.
 
     Each hop's port depends on d = dst - current alone: the table and
-    clockwise rules read d mod n, the adaptive rule |d| and its sign.
-
-    So a table or clockwise route from src is the route of the offset
-    (dst - src) mod n from 0, moved by src.  Both are two legs, built in C
-    with no loop per hop: ports as two repeated tuples, nodes as two
-    ranges, and only a leg that crosses the seam between n - 1 and 0 is
-    reduced mod n.  A route too long to list raises ``ValidationError``.
-    Table legs are memoized per offset, and a miss reads the distance
-    profile once (``_table_legs``), so a warm trace never asks for it.
-    Neither rule can livelock: every hop strictly lowers the distance to
-    dst, or the clockwise residual.
-
-    An adaptive hop's port is read from the config's memo for this mode, a
-    dict keyed by d, and a missing d is filled from ``_adaptive_delta``.
-    The router picks its next hop from (current, dest) alone, so a walk
-    that revisits a node repeats forever.  A walk of n - 1 hops that has
-    not arrived has visited n nodes other than dst, so by pigeonhole it
-    has revisited one; the trace then raises ``LivelockError`` naming the
-    algorithm, topology, pair and cycle.  A hop moves at most s2 labels, so
-    a walk too long to list, ceil(min(S, n - S) / s2) > ``sys.maxsize``
-    hops for S = (dst - src) mod n, raises ``ValidationError`` unwalked.
+    clockwise rules read d mod n, the adaptive rule |d| and its sign.  The
+    route is found as runs of one port each (``_route_runs``) and listed
+    from them (``_route_nodes``), so no rule runs once per hop.  A route
+    too long to list raises ``ValidationError``, and an adaptive walk that
+    livelocks raises ``LivelockError`` naming its cycle.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValidationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     n = cfg.n
     _check_node(src, n, "src")
     _check_node(dst, n, "dst")
-
-    steps = cfg.port_steps()
-    if algorithm != "adaptive":
-        offset = (dst - src) % n
-        if algorithm == "clockwise":
-            legs = _clockwise_legs(offset, cfg)
-        elif not offset:
-            legs = (0, 0, 0, 0)
-        else:
-            memo = cfg._memo.setdefault("table", {})
-            legs = memo.get(offset)
-            if legs is None:
-                legs = memo[offset] = _table_legs(offset, cfg)
-        first, count1, second, count2 = legs
-        step1, step2 = steps[first], steps[second]
-        turn = src + count1 * step1
-        end = turn + count2 * step2
-        leg1, leg2 = range(src, turn, step1), range(turn, end + step2, step2)
-        try:
-            ports = (first,) * count1 + (second,) * count2
-            nodes = tuple([
-                *(leg1 if 0 <= turn - step1 < n else map(mod, leg1, repeat(n))),
-                *(leg2 if 0 <= turn < n and 0 <= end < n else map(mod, leg2, repeat(n))),
-            ])
-        except (OverflowError, MemoryError):
-            raise ValidationError(
-                f"a {algorithm} route of {count1 + count2} hops is too large for a node list"
-            ) from None
-    else:
-        if (least := -(-min((dst - src) % n, (src - dst) % n) // cfg.s2)) > sys.maxsize:
-            raise ValidationError(f"an adaptive route of at least {least} hops is too large for a node list")
-        memo = cfg._memo.setdefault(mode, {})
-        nodes = [src]
-        ports = []
-        current = src
-        for _ in range(n - 1):
-            if current == dst:
-                break
-            try:
-                port = memo[dst - current]
-            except KeyError:
-                port = memo[dst - current] = steps.index(_adaptive_delta(current, dst, cfg, mode))
-            ports.append(port)
-            current = (current + steps[port]) % n
-            nodes.append(current)
-        if current != dst:
-            seen: dict[int, int] = {}
-            for index, node in enumerate(nodes):
-                if node in seen:
-                    break
-                seen[node] = index
-            cycle = tuple(nodes[seen[node]:index + 1])
-            raise LivelockError(
-                f"{algorithm} routing livelocks in {cfg} for pair {src} -> {dst}: "
-                f"cycle {' -> '.join(map(str, cycle))}",
-                cycle,
-            )
-        nodes, ports = tuple(nodes), tuple(ports)
+    runs = _route_runs(algorithm, src, dst, cfg, mode)
+    nodes, ports = _route_nodes(algorithm, src, runs, cfg)
     return RouteTrace(algorithm, n, cfg.s1, cfg.s2, src, dst, nodes, ports)

@@ -11,7 +11,6 @@ export them.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -240,25 +239,33 @@ def circulant_distance_profile(n: int, generatrices: tuple[int, ...]) -> tuple[i
     so one profile answers every all-pairs question.  This is the
     package's only BFS.  ``metrics``, routing tables and the analysis fill
     this cache; the topology searches rank candidates by their tent
-    envelopes and never read it.  An n whose n-entry list cannot be
-    allocated raises ``ValidationError``.
+    envelopes and never read it.
+
+    The map x -> n - x is an automorphism fixing 0, so d(x) = d(n - x),
+    and the BFS runs on the labels 0 .. n // 2 alone: the neighbours of u
+    are u + s and |u - s|, and a label v above n // 2 stands for n - v.
+    The half is then mirrored into the rest of the list.  An n whose
+    n-entry list cannot be allocated raises ``ValidationError``.
     """
     CirculantSpec(n, generatrices)
-    steps = []
-    for s in generatrices:
-        steps.append(s)
-        steps.append(n - s)
+    half = n // 2
     dist = _n_entry_list(n, "distance profile")
     dist[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
+    queue = [0]
+    for u in queue:  # the list grows while it is read: a FIFO queue
         d = dist[u] + 1
-        for s in steps:
-            v = (u + s) % n
+        for s in generatrices:
+            v = u + s
+            if v > half:
+                v = n - v
             if dist[v] < 0:
                 dist[v] = d
                 queue.append(v)
+            v = abs(u - s)
+            if dist[v] < 0:
+                dist[v] = d
+                queue.append(v)
+    dist[half + 1:] = dist[(n - 1) // 2:0:-1]
     return tuple(dist)
 
 
@@ -388,15 +395,17 @@ def _layer_floor(n: int) -> tuple[int, int]:
     Wang, 1985).  So no layer holds more than 4d nodes, and the greedy fill,
     4d nodes at each distance d = 1, 2, ... until n - 1 are placed, has the
     least diameter and the least total of any two-generatrix circulant.
+
+    Layers 1 .. D hold 2D(D + 1) nodes, so the diameter D is the least d
+    with 1 + 2d(d + 1) >= n, within one of ``(isqrt(2n - 1) - 1) // 2``.
+    The full layers below D add 4 * sum(d * d) = 2(D - 1)D(2D - 1)/3, and
+    the rest of the n - 1 nodes lie at distance D.
     """
-    diameter = total = 0
-    left = n - 1
-    while left > 0:
+    diameter = (math.isqrt(2 * n - 1) - 1) // 2
+    if 1 + 2 * diameter * (diameter + 1) < n:
         diameter += 1
-        placed = min(4 * diameter, left)
-        total += diameter * placed
-        left -= placed
-    return diameter, total
+    inner = 2 * (diameter - 1) * diameter
+    return diameter, inner * (2 * diameter - 1) // 3 + diameter * (n - 1 - inner)
 
 
 @lru_cache(maxsize=None)

@@ -169,15 +169,15 @@ def test_clockwise_route_too_large_to_list_exits_one(capsys):
 
 
 def test_adaptive_route_too_large_to_list_exits_one(capsys):
-    # each hop moves at most s2 = 3 labels, so 0 -> n/2 needs over 10^29
-    # hops and is refused before the walk; a near destination still routes
+    # 0 -> n/2 is two runs, counted from the scans and refused unlisted;
+    # a near destination still routes
     ring = ("--algorithm", "adaptive", "--circulant", "1000000000000000000000000000000,1,3")
     start = time.perf_counter()
     code, _, err = run(capsys, "route", *ring, "--src", "0", "--dst", "500000000000000000000000000000")
     assert time.perf_counter() - start < 5.0
     assert code == 1
     assert err == (
-        "error: an adaptive route of at least 166666666666666666666666666667 hops "
+        "error: an adaptive route of 166666666666666666666666666668 hops "
         "is too large for a node list\n"
     )
     code, out, _ = run(capsys, "route", *ring, "--src", "0", "--dst", "3")
@@ -411,6 +411,20 @@ def test_fuzz_command(capsys, tmp_path):
     assert "livelocks = 0" in out
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["livelock_count"] == 0 and payload["trials"] == 60
+
+
+def test_fuzz_on_huge_rings_counts_routes_from_runs(capsys, tmp_path):
+    # the first draw is an adaptive route of about 3.7e26 hops on
+    # C(9.94e28; 1, 3.56e28): its runs are counted, never walked or listed
+    path = tmp_path / "fuzz.json"
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "fuzz", "--seed", "1", "--trials", "5",
+        "--n-max", "1000000000000000000000000000000", "--out", str(path),
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(path.read_text(encoding="utf-8"))["livelock_count"] == 0
 
 
 def test_fuzz_printed_mode_reports_livelocks_and_exits_two(capsys):

@@ -10,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circnoc import routing
+from circnoc.analysis import route_cycle_count
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.routing import (
+    ADAPTIVE_VARIANTS,
     AS_PRINTED,
     CORRECTED,
     AdaptiveMode,
@@ -336,6 +338,56 @@ def test_corrected_adaptive_hop_lowers_its_scan_value():
                             assert value[abs(v - nxt)] <= value[abs(v - u)] - 1, (cfg, mode, u, v)
 
 
+def test_corrected_step_agrees_across_the_seam_unless_the_scans_tie():
+    # d and d - n name one offset, on either side of label 0; the corrected
+    # scans read only the offset, so only a tie, whose direction follows
+    # the sign of d, can tell them apart.  The printed seed S + n differs
+    # at most offsets, so a printed run ends wherever it crosses label 0.
+    for max_cycles, pinned_ties in ((2, 6_789), (None, 6_839)):
+        mode = AdaptiveMode("corrected", max_cycles)
+        cases = ties = 0
+        for n in range(5, 80):
+            for s2 in ring_s2_values(n):
+                cfg = RouterConfig(n, 1, s2)
+                for d in range(1, n):
+                    tie = _scan(d, n, s2, max_cycles)[0] == _scan(n - d, n, s2, max_cycles)[0]
+                    differ = _adaptive_delta(0, d, cfg, mode) != _adaptive_delta(n - d, 0, cfg, mode)
+                    assert differ == tie, (n, s2, d, max_cycles)
+                    cases += 1
+                    ties += tie
+        assert (cases, ties) == (76_779, pinned_ties)
+    printed = sum(
+        _adaptive_delta(0, d, cfg, AS_PRINTED) != _adaptive_delta(n - d, 0, cfg, AS_PRINTED)
+        for n in range(5, 80)
+        for cfg in (RouterConfig(n, 1, s2) for s2 in ring_s2_values(n))
+        for d in range(1, n)
+    )
+    assert printed == 70_085
+
+
+@given(st.integers(min_value=5, max_value=3000), st.data())
+def test_adaptive_trace_equals_the_per_hop_walk(n, data):
+    # a route is listed from runs whose lengths come from the scans'
+    # arithmetic; it must be the walk of the per-hop rule, and a printed
+    # livelock must name the walk's first cycle.  s2 = 2 and (n - 1) // 2
+    # give unit runs of hundreds of hops and long runs over many laps.
+    s2 = data.draw(st.sampled_from([2, (n - 1) // 2, None]))
+    if s2 is None:
+        s2 = data.draw(st.integers(min_value=2, max_value=(n - 1) // 2))
+    variant = data.draw(st.sampled_from(ADAPTIVE_VARIANTS))
+    mode = AdaptiveMode(variant, data.draw(st.sampled_from([2, 3, None])))
+    u = data.draw(st.integers(min_value=0, max_value=n - 1))
+    v = data.draw(st.integers(min_value=0, max_value=n - 1))
+    cfg = RouterConfig(n, 1, s2)
+    kind, nodes = ref_adaptive_walk(u, v, cfg, mode)
+    if kind == "cycle":
+        with pytest.raises(LivelockError) as exc:
+            trace_route("adaptive", u, v, cfg, mode)
+        assert exc.value.cycle == nodes, (n, s2, u, v, mode)
+    else:
+        assert trace_route("adaptive", u, v, cfg, mode).nodes == nodes, (n, s2, u, v, mode)
+
+
 # --- tracing ----------------------------------------------------------------------
 
 def test_trace_same_node_is_empty():
@@ -387,6 +439,16 @@ def test_trace_livelock_error_names_cycle():
         "adaptive routing livelocks in C(100; 1, 18) for pair 0 -> 97: cycle 0 -> 82 -> 0"
     )
     assert exc.value.cycle == (0, 82, 0)
+
+
+def test_livelock_too_long_to_list_is_still_reported():
+    # a printed walk on a huge ring repeats a run start after about 3.3e27
+    # hops: the livelock is proven from its runs, and its cycle, which no
+    # node list can hold, is left out
+    cfg = RouterConfig(99436813185968347955962756041, 1, 35612350920404994885879649661)
+    with pytest.raises(LivelockError, match="its walk of 3332208386143800819984923332 hops is too long") as exc:
+        trace_route("adaptive", 38651986488652303581816265005, 30883835511926149349286898918, cfg, AS_PRINTED)
+    assert exc.value.cycle is None
 
 
 def test_memoized_traces_follow_the_per_hop_helpers():
@@ -576,9 +638,10 @@ def test_table_trace_equals_a_lowest_port_walk(n, data):
 
 
 def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
-    # count the lines run inside routing.py: a warm trace of 2 hops and one
-    # of many hops must run the same number
-    def lines_run(algorithm, dst, cfg):
+    # count the lines run inside routing.py: warm traces whose runs take the
+    # same branches of the node builder must run the same number, however
+    # many hops they take
+    def lines_run(algorithm, dst, cfg, src=0):
         count = 0
 
         def tracer(frame, event, arg):
@@ -591,26 +654,48 @@ def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
 
         sys.settrace(tracer)
         try:
-            trace = trace_route(algorithm, 0, dst, cfg)
+            trace = trace_route(algorithm, src, dst, cfg)
         finally:
             sys.settrace(None)
         return count, trace.hops
 
-    cfg = RouterConfig(1024, 1, 90)
-    lines_by_algorithm = {}
-    for algorithm in ("table", "clockwise"):
-        for dst in (91, 1024 - 91, 512, 89, 1024 - 89):
-            trace_route(algorithm, 0, dst, cfg)
-        counts = {}
-        for dst in (91, 1024 - 91, 512, 89, 1024 - 89):
-            lines, hops = lines_run(algorithm, dst, cfg)
-            counts.setdefault(lines, []).append(hops)
-        assert len(counts) == 1 and max(sum(counts.values(), [])) >= 10, (algorithm, counts)
-        lines_by_algorithm[algorithm] = next(iter(counts))
+    def branches(algorithm, src, dst, cfg):
+        # per run, the builder's branch: inside [0, n), across label 0 once,
+        # or lapping the ring.  A corrected adaptive route also reads one
+        # more memo entry each time a long run passes dst and goes on, so
+        # its wraps are part of the key.
+        key, node = [], src
+        runs = routing._route_runs(algorithm, src, dst, cfg, CORRECTED)
+        for port, count in zip(runs[::2], runs[1::2]):
+            end = node + count * cfg.port_steps()[port]
+            key.append(min(abs(end // cfg.n), 2))
+            node = end % cfg.n
+        if algorithm == "adaptive":
+            key.append(route_cycle_count(trace_route(algorithm, src, dst, cfg)))
+        return tuple(key)
 
-    # legs inside [0, n), across the seam between n - 1 and 0 once, and over
-    # several laps: each runs as many lines as the routes above and equals
-    # the route walked one hop at a time
+    cfg = RouterConfig(1024, 1, 90)
+    for algorithm, ring in [
+        ("table", cfg),
+        ("clockwise", cfg),
+        ("adaptive", cfg),
+        ("table", RouterConfig(1024, 1, 450)),
+        ("clockwise", RouterConfig(2025, 1, 197)),
+        ("adaptive", RouterConfig(2025, 1, 197)),
+    ]:
+        lines_by_key = {}
+        for src in (0, ring.n // 2):
+            for dst in range(0, ring.n, 5):
+                trace_route(algorithm, src, dst, ring)
+                lines, hops = lines_run(algorithm, dst, ring, src)
+                key = branches(algorithm, src, dst, ring)
+                lines_by_key.setdefault(key, {}).setdefault(lines, []).append(hops)
+        assert all(len(by_lines) == 1 for by_lines in lines_by_key.values()), (algorithm, ring, lines_by_key)
+        spread = max(max(h) - min(h) for by_lines in lines_by_key.values() for h in by_lines.values())
+        assert spread >= 15, (algorithm, ring, lines_by_key)
+
+    # runs inside [0, n), across the seam between n - 1 and 0 once, and
+    # over several laps each equal the route walked one hop at a time
     walks = {"table": ref_table_walk, "clockwise": ref_clockwise_walk}
     for algorithm, seam_cfg, dst in [
         ("table", cfg, 91),                            # inside [0, n)
@@ -621,9 +706,6 @@ def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
     ]:
         trace = trace_route(algorithm, 0, dst, seam_cfg)
         assert (trace.nodes, trace.ports) == walks[algorithm](0, dst, seam_cfg.n, seam_cfg.s2)
-        assert lines_run(algorithm, dst, seam_cfg)[0] == lines_by_algorithm[algorithm], (
-            algorithm, seam_cfg, dst,
-        )
 
     # a cold trace bisects for its first leg: a 5000-hop route may run only
     # the extra bisection steps, four lines each, over a 2-hop one.  Both

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -335,6 +336,38 @@ def test_circulant_profile_matches_graph_bfs():
         for src in (1, n // 2, n - 1):
             dist = ref_bfs(neighbors, src)
             assert all(dist[(src + off) % n] == profile[off] for off in range(n))
+
+
+def test_folded_profile_matches_graph_bfs_for_every_small_circulant():
+    # the BFS searches labels 0 .. n // 2 only, folding v > n // 2 onto
+    # n - v, and mirrors the half: every valid circulant with n <= 40 and
+    # up to three generatrices must give the full graph's BFS distances
+    count = 0
+    for n in range(3, 41):
+        for k in (1, 2, 3):
+            for gens in itertools.combinations(range(1, n // 2 + 1), k):
+                if math.gcd(n, *gens) == 1:
+                    profile = circulant_distance_profile(n, gens)
+                    assert list(profile) == ref_bfs(ref_neighbors(CirculantSpec(n, gens)), 0), (n, gens)
+                    count += 1
+    assert count == 12_564
+
+
+def test_layer_floor_closed_form_equals_the_greedy_fill():
+    # the greedy fill places node k (k = 1, 2, ...) at the first layer d
+    # whose 4d slots are not yet full; the floor of n is the fill of n - 1
+    # nodes, checked for every n <= 10^5
+    diameter = total = room = 0
+    assert _layer_floor(1) == (0, 0)
+    for n in range(2, 100_001):
+        if not room:
+            diameter += 1
+            room = 4 * diameter
+        room -= 1
+        total += diameter
+        assert _layer_floor(n) == (diameter, total), n
+    # no loop per layer: a 10^30-node floor answers at once
+    assert _layer_floor(10**30)[0] == 707106781186548
 
 
 def test_vertex_transitivity_distance_multisets():
