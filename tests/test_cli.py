@@ -239,7 +239,7 @@ def test_printed_adaptive_livelock_in_figure_exits_one(capsys):
 
 
 def test_route_hop_limit_exhaustion_exits_one(capsys):
-    # livelocks are proven within n - 1 hops, so route takes no hop limit;
+    # livelocks are proven by a repeated run start, so route takes no hop limit;
     # the 6-hop route that a limit of 2 once cut short is routed in full
     code, out, _ = run(
         capsys, "route", "--algorithm", "clockwise", "--circulant", "16,1,7",

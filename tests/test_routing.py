@@ -499,7 +499,7 @@ def test_table_trace_reads_the_profile_once_and_a_warm_trace_never(monkeypatch):
 
 
 def test_trace_livelock_bound_is_exact():
-    # a route is cut after n - 1 hops; the oracle walks with no bound and
+    # a route stops at a repeated run start; the oracle walks hop by hop and
     # stops at the first revisited node, so both must agree on every pair
     traces = livelocks = 0
     for n in range(5, 25):
