@@ -46,6 +46,7 @@ from .routing import (
     build_routing_table,
     clockwise_hop_count,
     payload_bits,
+    route_runs,
     trace_route,
 )
 from .topology import (

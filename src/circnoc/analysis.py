@@ -23,10 +23,10 @@ from .routing import (
     RouteTrace,
     RouterConfig,
     _check_node,
-    _route_runs,
     _scan,
     dataclass_json,
     payload_bits,
+    trace_route,
 )
 from .topology import circulant_distance_profile
 
@@ -99,17 +99,16 @@ def efficiency_k(
     """Efficiency criterion K = (algorithm hops) / (shortest-path hops).
 
     Both totals sum routes from ``source`` to every other node.  The
-    algorithm side adds up the counts of each route's runs and lists no
-    nodes.  The shortest-path side is the sum of the cached distance
-    profile from node 0: circulants are vertex-transitive, so every source
-    has the same distance multiset and the same total.
+    shortest-path side is the sum of the cached distance profile from node
+    0: circulants are vertex-transitive, so every source has the same
+    distance multiset and the same total.
     """
     _check_node(source, cfg.n, "source")
     hops_oracle = sum(circulant_distance_profile(cfg.n, (cfg.s1, cfg.s2)))
     hops_algorithm = 0
     for dest in range(cfg.n):
         if dest != source:
-            hops_algorithm += sum(_route_runs(algorithm, source, dest, cfg, mode)[1::2])
+            hops_algorithm += trace_route(algorithm, source, dest, cfg, mode).hops
     return EfficiencyReport(
         k=hops_algorithm / hops_oracle,
         hops_algorithm=hops_algorithm,

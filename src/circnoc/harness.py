@@ -28,7 +28,7 @@ from .analysis import (
     resource_usage,
 )
 from .errors import LivelockError, ValidationError
-from .routing import ALGORITHMS, CORRECTED, AdaptiveMode, RouterConfig, _route_runs, dataclass_json
+from .routing import ALGORITHMS, CORRECTED, AdaptiveMode, RouterConfig, dataclass_json, route_runs
 from .topology import SELECTION_RULES, compare_topologies, search_best_ring_circulant
 
 __all__ = [
@@ -314,7 +314,7 @@ def fuzz_termination(config: FuzzConfig) -> FuzzReport:
 
     A route that livelocks is recorded with the tuple needed to reproduce
     it, the adaptive variant and wrap bound included.  Each route is found
-    as its runs of one port (``_route_runs``) and never listed, so a route
+    as its runs of one port (``route_runs``) and never listed, so a route
     of 10**26 hops on a huge ring costs a few runs; a repeated run start
     proves a livelock.  Only the printed variant can livelock, so a
     corrected run reports none.
@@ -329,7 +329,7 @@ def fuzz_termination(config: FuzzConfig) -> FuzzReport:
         algorithm = ALGORITHMS[rng.randrange(len(ALGORITHMS))]
         cfg = RouterConfig(n, 1, s2)
         try:
-            _route_runs(algorithm, src, dst, cfg, config.mode)
+            route_runs(algorithm, src, dst, cfg, config.mode)
         except LivelockError:
             livelocks.append(
                 {

@@ -43,6 +43,7 @@ __all__ = [
     "payload_bits",
     "build_routing_table",
     "clockwise_hop_count",
+    "route_runs",
     "trace_route",
 ]
 
@@ -87,10 +88,12 @@ class RouterConfig:
 
     def port_steps(self) -> tuple[int, int, int, int]:
         """Signed node-label steps by port number (clockwise numbering)."""
-        return (self.s1, self.s2, -self.s1, -self.s2)
+        return self._steps
 
-    # ``port_steps()`` kept for the routers, which read it on every route.
-    _steps = cached_property(port_steps)
+    @cached_property
+    def _steps(self) -> tuple[int, int, int, int]:
+        """``port_steps()``, kept with the config: every router reads it once per route."""
+        return (self.s1, self.s2, -self.s1, -self.s2)
 
     @cached_property
     def _memo(self) -> dict[object, dict[int, tuple[int, int, int, int] | int]]:
@@ -253,7 +256,7 @@ def build_routing_table(cfg: RouterConfig) -> RoutingTable:
     """
     n = cfg.n
     profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
-    steps = cfg.port_steps()
+    steps = cfg._steps
     row = tuple(_shortest_port(profile, steps, offset, n) for offset in range(1, n))
     return RoutingTable(cfg=cfg, ports=(None,) + row)
 
@@ -271,7 +274,7 @@ def _table_legs(offset: int, cfg: RouterConfig) -> tuple[int, int, int, int]:
     shortest) and fails above, where ``first`` would descend at the turn,
     so bisection finds c1 in O(log D) reads of the profile, read once.
     """
-    n, steps = cfg.n, cfg.port_steps()
+    n, steps = cfg.n, cfg._steps
     profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
     total = profile[offset]
     first = _shortest_port(profile, steps, offset, n)
@@ -382,10 +385,7 @@ def _adaptive_run(d: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
     * printed long steps away add s2 to both bases, so every candidate gains
       one hop per hop and the decision holds until label 0 is crossed,
       within ceil((n - S) / s2) hops;
-    * printed unit steps away raise the winner's r by one per hop, so it
-      gains exactly one hop per hop while 2r <= s2, and no other candidate
-      gains faster: the hops it still wins form a prefix, which bisection
-      finds.
+    * printed unit steps away are decided one hop at a time (a run of 1).
 
     Crossing label 0 turns S into n - S.  Both printed scans change there,
     so every printed run is a seam run.  The corrected scans read the
@@ -404,18 +404,8 @@ def _adaptive_run(d: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
         port, count = (0, s % s2) if unit_toward else (1, -(-s // s2))
     elif not unit_away:
         port, count = 3, -(-(n - s) // s2)
-    elif not printed:
-        port, count = 2, (n - s) % s2
     else:
-        lo, hi = 0, min(s2 // 2 - (s + n) % s2, n - 1 - s)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            later, _, unit = _scan(s + mid + n, n, s2, bound)
-            if unit and _scan(s + mid, n, s2, bound)[0] >= later:
-                lo = mid
-            else:
-                hi = mid - 1
-        port, count = 2, lo + 1
+        port, count = 2, 1 if printed else (n - s) % s2
     seam = printed or (port == 2 and toward == away)
     return count << 3 | seam << 2 | (port ^ 2 if d < 0 else port)
 
@@ -429,7 +419,8 @@ def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMo
     ``mode.max_cycles``.  A clockwise win gives +s1/+s2, otherwise the
     step is negative; ties go counter-clockwise.  The sign is mirrored
     when dest lies below current.  This is the first hop of
-    ``_adaptive_run``, which decides it once for the whole run.
+    ``_adaptive_run``, which decides it once for the whole run; routing
+    reads runs, and this per-hop form is kept as the rule the tests walk.
 
     Lemma (corrected variant, any ``max_cycles``): let V(u, v) be the
     smaller of the two scan values, with V(v, v) = 0.  Then every hop has
@@ -447,8 +438,10 @@ def _adaptive_runs(src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode) ->
 
     Each run is read from the config's memo for this mode, keyed by
     d = dst - current, and a missing d is filled from ``_adaptive_run``; a
-    seam run is cut at the hop that crosses label 0.  Runs of one port
-    that follow each other are merged.  A corrected walk arrives within
+    seam run is cut at the hop that crosses label 0.  Every run read is one
+    run of the route, so two in a row can share a port (a long run that
+    passes dst and goes on, or a seam run cut at label 0, followed by
+    another of the same port).  A corrected walk arrives within
     V(src, dst) hops (``_adaptive_delta``'s lemma).  A printed walk can
     livelock: the router picks its next hop from (current, dst) alone, and
     so the next run too, so a walk that starts a run at a node twice
@@ -459,7 +452,6 @@ def _adaptive_runs(src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode) ->
     memo = cfg._memo.setdefault(mode, {})
     runs: list[int] = []
     starts = set() if mode.variant == "printed" else None
-    last = -1
     current = src
     while current != dst:
         if starts is not None:
@@ -472,53 +464,51 @@ def _adaptive_runs(src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode) ->
             packed = memo[dst - current] = _adaptive_run(dst - current, cfg, mode)
         port, count = packed & 3, packed >> 3
         step = steps[port]
-        if packed & 4:
-            count = min(count, (n - 1 - current) // step + 1 if step > 0 else current // -step + 1)
-        if port == last:
-            runs[-1] += count
-        else:
-            runs += port, count
-            last = port
+        count = min(count, -((current - n if step > 0 else current + 1) // step)) if packed & 4 else count
+        runs += port, count
         current = (current + count * step) % n
     return tuple(runs)
 
 
 def _livelock_error(src: int, dst: int, runs: list[int], cfg: RouterConfig) -> LivelockError:
-    """The livelock of an adaptive walk, naming the cycle its listed nodes close first.
-
-    A walk too long to list is still reported as a livelock, with its hop
-    count in place of the cycle.
-    """
-    head = f"adaptive routing livelocks in {cfg} for pair {src} -> {dst}"
-    try:
-        nodes = _route_nodes("adaptive", src, runs, cfg)[0]
-    except ValidationError:
-        return LivelockError(f"{head}: its walk of {sum(runs[1::2])} hops is too long to list")
+    """The livelock of an adaptive walk, naming the cycle its listed nodes close first."""
+    nodes = _route_nodes("adaptive", src, runs, cfg)[0]
     seen: dict[int, int] = {}
     for index, node in enumerate(nodes):
         if node in seen:
             break
         seen[node] = index
     cycle = nodes[seen[node]:index + 1]
+    head = f"adaptive routing livelocks in {cfg} for pair {src} -> {dst}"
     return LivelockError(f"{head}: cycle {' -> '.join(map(str, cycle))}", cycle)
 
 
-def _route_runs(
-    algorithm: str, src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode
+def route_runs(
+    algorithm: str,
+    src: int,
+    dst: int,
+    cfg: RouterConfig,
+    mode: AdaptiveMode = CORRECTED,
 ) -> tuple[int, ...]:
     """The route from src to dst as a flat tuple of (port, count) runs.
 
-    Table and clockwise routes are two runs (the second may be empty):
-    each rule reads d = (dst - current) mod n alone, so the route from src
-    is that of the offset (dst - src) mod n from 0.  Table runs are
-    memoized per offset, and a miss reads the distance profile once
-    (``_table_legs``), so a warm route never asks for it.  Neither rule can
-    livelock: every hop strictly lowers the distance to dst, or the
-    clockwise residual.  Adaptive runs come from ``_adaptive_runs``.
+    This is every router's one route form: a route's hop count is the sum
+    of its counts, found without listing a node.  Table and clockwise
+    routes are two runs (the second may be empty): each rule reads
+    d = (dst - current) mod n alone, so the route from src is that of the
+    offset (dst - src) mod n from 0.  Table runs are memoized per offset,
+    and a miss reads the distance profile once (``_table_legs``), so a warm
+    route never asks for it.  Neither rule can livelock: every hop strictly
+    lowers the distance to dst, or the clockwise residual.  Adaptive runs
+    come from ``_adaptive_runs``, which raises ``LivelockError`` naming
+    the cycle of a walk that livelocks.
     """
+    n = cfg.n
+    _check_node(src, n, "src")
+    _check_node(dst, n, "dst")
     if algorithm == "adaptive":
         return _adaptive_runs(src, dst, cfg, mode)
-    offset = (dst - src) % cfg.n
+    offset = (dst - src) % n
     if algorithm == "clockwise":
         return _clockwise_legs(offset, cfg)
     if algorithm != "table":
@@ -537,12 +527,15 @@ def _route_nodes(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The nodes and ports of a route from src, listed from its runs in C.
 
-    Each run is one ``range`` of nodes, with no loop per hop.  A run whose
-    nodes all lie in [0, n) goes in as that plain range, and one that
-    crosses the seam between n - 1 and 0 once as two, split at the first
-    node past it.  Only a run that laps the ring is reduced mod n node by
-    node.  Both tuples are built at their exact size.  A route too long to
-    list raises ``ValidationError``.
+    Each run goes in as ranges, with no loop per hop, and runs the same
+    lines however it lies.  Its head is one range up to ``cut``, the first
+    node past label 0 (forward, the least label >= n of the run's residue;
+    backward, the greatest below 0), or past the run's end for a run inside
+    [0, n).  The rest, from ``cut`` to the end less ``lap``, the multiple
+    of n at or below the end, is a second range: it lies in [0, n) when
+    the run crosses label 0 once, and only a run that laps the ring more
+    than once is reduced mod n node by node.  Both tuples are built at
+    their exact size.  A route too long to list raises ``ValidationError``.
     """
     n, steps = cfg.n, cfg._steps
     nodes = [src]
@@ -552,20 +545,14 @@ def _route_nodes(
     try:
         for port, count in zip(pairs, pairs):
             step = steps[port]
-            end = node + count * step
             ports += (port,) * count
-            if 0 <= end < n:
-                nodes += range(node + step, end + step, step)
-            elif -n <= end < 2 * n:
-                cut = node + ((n - 1 - node) // step + 1 if step > 0 else node // -step + 1) * step
-                lap = n if step > 0 else -n
-                nodes += range(node + step, cut, step)
-                end -= lap
-                nodes += range(cut - lap, end + step, step)
-            else:
-                nodes += map(mod, range(node + step, end + step, step), repeat(n))
-                end %= n
-            node = end
+            end = node + count * step
+            lap = end // n * n
+            cut = end + step if not lap else n + (node - n) % step if step > 0 else (node + 1) % step - 1
+            nodes += range(node + step, cut, step)
+            node = end - lap
+            rest = range(cut - lap, node + step, step) if lap else ()
+            nodes += rest if -n <= lap <= n else map(mod, rest, repeat(n))
         return tuple(nodes), ports
     except (OverflowError, MemoryError):
         article = "an" if algorithm == "adaptive" else "a"
@@ -585,14 +572,11 @@ def trace_route(
 
     Each hop's port depends on d = dst - current alone: the table and
     clockwise rules read d mod n, the adaptive rule |d| and its sign.  The
-    route is found as runs of one port each (``_route_runs``) and listed
+    route is found as runs of one port each (``route_runs``) and listed
     from them (``_route_nodes``), so no rule runs once per hop.  A route
     too long to list raises ``ValidationError``, and an adaptive walk that
     livelocks raises ``LivelockError`` naming its cycle.
     """
-    n = cfg.n
-    _check_node(src, n, "src")
-    _check_node(dst, n, "dst")
-    runs = _route_runs(algorithm, src, dst, cfg, mode)
+    runs = route_runs(algorithm, src, dst, cfg, mode)
     nodes, ports = _route_nodes(algorithm, src, runs, cfg)
-    return RouteTrace(algorithm, n, cfg.s1, cfg.s2, src, dst, nodes, ports)
+    return RouteTrace(algorithm, cfg.n, cfg.s1, cfg.s2, src, dst, nodes, ports)

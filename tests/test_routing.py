@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circnoc import routing
-from circnoc.analysis import route_cycle_count
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.routing import (
     ADAPTIVE_VARIANTS,
@@ -441,16 +440,6 @@ def test_trace_livelock_error_names_cycle():
     assert exc.value.cycle == (0, 82, 0)
 
 
-def test_livelock_too_long_to_list_is_still_reported():
-    # a printed walk on a huge ring repeats a run start after about 3.3e27
-    # hops: the livelock is proven from its runs, and its cycle, which no
-    # node list can hold, is left out
-    cfg = RouterConfig(99436813185968347955962756041, 1, 35612350920404994885879649661)
-    with pytest.raises(LivelockError, match="its walk of 3332208386143800819984923332 hops is too long") as exc:
-        trace_route("adaptive", 38651986488652303581816265005, 30883835511926149349286898918, cfg, AS_PRINTED)
-    assert exc.value.cycle is None
-
-
 def test_memoized_traces_follow_the_per_hop_helpers():
     # trace_route reads each port from the config's memo; every trace must
     # still be the node-by-node walk of the per-hop rule.  One config per
@@ -638,9 +627,8 @@ def test_table_trace_equals_a_lowest_port_walk(n, data):
 
 
 def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
-    # count the lines run inside routing.py: warm traces whose runs take the
-    # same branches of the node builder must run the same number, however
-    # many hops they take
+    # count the lines run inside routing.py: a warm trace of 2 hops and one
+    # of many hops must run the same number
     def lines_run(algorithm, dst, cfg, src=0):
         count = 0
 
@@ -659,43 +647,21 @@ def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
             sys.settrace(None)
         return count, trace.hops
 
-    def branches(algorithm, src, dst, cfg):
-        # per run, the builder's branch: inside [0, n), across label 0 once,
-        # or lapping the ring.  A corrected adaptive route also reads one
-        # more memo entry each time a long run passes dst and goes on, so
-        # its wraps are part of the key.
-        key, node = [], src
-        runs = routing._route_runs(algorithm, src, dst, cfg, CORRECTED)
-        for port, count in zip(runs[::2], runs[1::2]):
-            end = node + count * cfg.port_steps()[port]
-            key.append(min(abs(end // cfg.n), 2))
-            node = end % cfg.n
-        if algorithm == "adaptive":
-            key.append(route_cycle_count(trace_route(algorithm, src, dst, cfg)))
-        return tuple(key)
-
     cfg = RouterConfig(1024, 1, 90)
-    for algorithm, ring in [
-        ("table", cfg),
-        ("clockwise", cfg),
-        ("adaptive", cfg),
-        ("table", RouterConfig(1024, 1, 450)),
-        ("clockwise", RouterConfig(2025, 1, 197)),
-        ("adaptive", RouterConfig(2025, 1, 197)),
-    ]:
-        lines_by_key = {}
-        for src in (0, ring.n // 2):
-            for dst in range(0, ring.n, 5):
-                trace_route(algorithm, src, dst, ring)
-                lines, hops = lines_run(algorithm, dst, ring, src)
-                key = branches(algorithm, src, dst, ring)
-                lines_by_key.setdefault(key, {}).setdefault(lines, []).append(hops)
-        assert all(len(by_lines) == 1 for by_lines in lines_by_key.values()), (algorithm, ring, lines_by_key)
-        spread = max(max(h) - min(h) for by_lines in lines_by_key.values() for h in by_lines.values())
-        assert spread >= 15, (algorithm, ring, lines_by_key)
+    lines_by_algorithm = {}
+    for algorithm in ("table", "clockwise"):
+        for dst in (91, 1024 - 91, 512, 89, 1024 - 89):
+            trace_route(algorithm, 0, dst, cfg)
+        counts = {}
+        for dst in (91, 1024 - 91, 512, 89, 1024 - 89):
+            lines, hops = lines_run(algorithm, dst, cfg)
+            counts.setdefault(lines, []).append(hops)
+        assert len(counts) == 1 and max(sum(counts.values(), [])) >= 10, (algorithm, counts)
+        lines_by_algorithm[algorithm] = next(iter(counts))
 
-    # runs inside [0, n), across the seam between n - 1 and 0 once, and
-    # over several laps each equal the route walked one hop at a time
+    # legs inside [0, n), across the seam between n - 1 and 0 once, and over
+    # several laps: each runs as many lines as the routes above and equals
+    # the route walked one hop at a time
     walks = {"table": ref_table_walk, "clockwise": ref_clockwise_walk}
     for algorithm, seam_cfg, dst in [
         ("table", cfg, 91),                            # inside [0, n)
@@ -706,6 +672,33 @@ def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
     ]:
         trace = trace_route(algorithm, 0, dst, seam_cfg)
         assert (trace.nodes, trace.ports) == walks[algorithm](0, dst, seam_cfg.n, seam_cfg.s2)
+        assert lines_run(algorithm, dst, seam_cfg)[0] == lines_by_algorithm[algorithm], (
+            algorithm, seam_cfg, dst,
+        )
+
+    # every warm table and clockwise route runs that one count, and every
+    # warm corrected adaptive route of as many runs (one memo entry read
+    # each) runs one count too, however many hops it takes
+    for algorithm, ring in [
+        ("table", RouterConfig(1024, 1, 450)),
+        ("clockwise", RouterConfig(2025, 1, 197)),
+        ("adaptive", cfg),
+        ("adaptive", RouterConfig(2025, 1, 197)),
+        ("adaptive", RouterConfig(1024, 1, 450)),
+    ]:
+        lines_by_key = {}
+        for src in (0, ring.n // 2, ring.n - 1):
+            for dst in set(range(0, ring.n, 7)) - {src}:
+                trace_route(algorithm, src, dst, ring)
+                lines, hops = lines_run(algorithm, dst, ring, src)
+                key = len(routing.route_runs(algorithm, src, dst, ring)) if algorithm == "adaptive" else None
+                lines_by_key.setdefault(key, {}).setdefault(lines, []).append(hops)
+        groups = list(lines_by_key.values())
+        assert all(len(by_lines) == 1 for by_lines in groups), (algorithm, ring, lines_by_key)
+        if algorithm != "adaptive":
+            assert next(iter(lines_by_key[None])) == lines_by_algorithm[algorithm], (algorithm, ring)
+        spread = max(max(h) - min(h) for by_lines in groups for h in by_lines.values())
+        assert spread >= 15, (algorithm, ring, lines_by_key)
 
     # a cold trace bisects for its first leg: a 5000-hop route may run only
     # the extra bisection steps, four lines each, over a 2-hop one.  Both
