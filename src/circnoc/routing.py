@@ -11,12 +11,13 @@ Three strategies share one four-port router model:
                    long as the needed wrap count stays within its bound.
 
 Ports are numbered clockwise: 0 -> +s1, 1 -> +s2, 2 -> -s1, 3 -> -s2.
-Every router gives a route in one internal form, a short flat tuple of
-(port, count) runs: table and clockwise routes are two runs, adaptive runs
-come from the candidate scan's arithmetic.  A trace lists the runs as
-ranges, reduced mod n only where a run crosses label 0.  Everything here
-is pure; tables and traces are immutable, and a route memo keeps only rule
-output.
+Every router gives a route in one form, a short flat tuple of (port,
+count) runs (``route_runs``): table and clockwise routes are two runs,
+adaptive runs come from the candidate scan's arithmetic.  A trace lists
+the runs as ranges, split where a run crosses label 0 and reduced mod n
+node by node only where it crosses label 0 more than once.  Everything
+here is pure; tables and traces are immutable, and a route memo keeps
+only rule output.
 """
 
 from __future__ import annotations
