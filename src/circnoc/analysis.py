@@ -10,10 +10,11 @@ many routers fit on a chip under a budget fraction.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from typing import Mapping, NamedTuple
 
 from .errors import ValidationError
 from .routing import (
@@ -24,7 +25,6 @@ from .routing import (
     RouterConfig,
     _check_node,
     _scan,
-    dataclass_json,
     payload_bits,
     trace_route,
 )
@@ -56,8 +56,7 @@ __all__ = [
 RESOURCES = ("alm", "register")
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     """Ratio of algorithm hops to shortest-path hops from one source."""
 
     k: float
@@ -66,8 +65,7 @@ class EfficiencyReport:
     source: int
 
 
-@dataclass(frozen=True)
-class MemoryReport:
+class MemoryReport(NamedTuple):
     """Storage bits required by each routing strategy on an n-node network."""
 
     n: int
@@ -77,8 +75,7 @@ class MemoryReport:
     adaptive_bits: int
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Ring wraps needed by shortest routes from node 0 to each destination."""
 
     n: int
@@ -88,6 +85,13 @@ class CycleReport:
     @property
     def max_cycles(self) -> int:
         return max(self.per_destination)
+
+    def to_json(self) -> str:
+        """The fields in order with ``max_cycles`` after ``s2``, indented by 2."""
+        return json.dumps({
+            "n": self.n, "s2": self.s2, "max_cycles": self.max_cycles,
+            "per_destination": self.per_destination,
+        }, indent=2)
 
 
 def efficiency_k(
@@ -202,36 +206,31 @@ def memory_report(n: int, p: int = 4) -> MemoryReport:
 
 def format_memory_csv(reports: list[MemoryReport]) -> str:
     """CSV rows ``n,payload_bits,table_bits,clockwise_bits,adaptive_bits``."""
-    lines = ["n,payload_bits,table_bits,clockwise_bits,adaptive_bits"]
-    for r in reports:
-        lines.append(
-            f"{r.n},{r.payload_bits},{r.table_bits},{r.clockwise_bits},{r.adaptive_bits}"
-        )
+    lines = [",".join(MemoryReport._fields)]
+    lines += (",".join(map(str, r)) for r in reports)
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class QuadraticCost:
+class QuadraticCost(namedtuple("QuadraticCost", "a0 a1 a2")):
     """Quadratic cost curve a0 + a1*x + a2*x**2 over the router count x.
 
     The curve must open upward (a2 > 0): then the counts that fit a budget
     form one interval, and ``chip_capacity`` can search it by bisection.
     """
 
-    a0: float
-    a1: float
-    a2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> QuadraticCost:
+        self = super().__new__(cls, *args, **kwargs)
         if not all(map(math.isfinite, (self.a0, self.a1, self.a2))) or not self.a2 > 0:
             raise ValidationError(f"cost curve needs finite coefficients and a2 > 0: {self}")
+        return self
 
     def usage(self, x: int) -> float:
         return self.a0 + self.a1 * x + self.a2 * x * x
 
 
-@dataclass(frozen=True)
-class ResourceModel:
+class ResourceModel(NamedTuple):
     """Per-(algorithm, resource) quadratic cost curves."""
 
     curves: Mapping[tuple[str, str], QuadraticCost]
@@ -262,15 +261,17 @@ DEFAULT_RESOURCE_MODEL = ResourceModel(
 )
 
 
-@dataclass(frozen=True)
-class ChipProfile:
+class ChipProfile(
+    namedtuple(
+        "ChipProfile", "alm_total reg_total budget_fraction", defaults=(113560, 12492800, 0.35)
+    )
+):
     """Chip resource totals and the fraction granted to the interconnect."""
 
-    alm_total: int = 113560
-    reg_total: int = 12492800
-    budget_fraction: float = 0.35
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> ChipProfile:
+        self = super().__new__(cls, *args, **kwargs)
         if self.alm_total < 1 or self.reg_total < 1:
             raise ValidationError("chip resource totals must be positive")
         if not 0.0 < self.budget_fraction <= 1.0:
@@ -279,10 +280,10 @@ class ChipProfile:
             )
         if max(self.alm_total, self.reg_total) > sys.float_info.max:
             raise ValidationError("chip resource totals must fit a finite float")
+        return self
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     """Largest router count fitting a chip budget, with the binding resource."""
 
     algorithm: str
@@ -295,7 +296,7 @@ class CapacityReport:
     reg_used: float
 
     def to_json(self) -> str:
-        return dataclass_json(self)
+        return json.dumps(self._asdict())
 
 
 def resource_usage(model: ResourceModel, algorithm: str, resource: str, x: int) -> float:

@@ -179,7 +179,7 @@ def _cmd_cycles(args) -> int:
     report = analysis.cycle_report(cfg)
     print(f"max cycles = {report.max_cycles} for {cfg}")
     if args.out:
-        _write(args.out, routing.dataclass_json(report, {"max_cycles": "s2"}, indent=2) + "\n")
+        _write(args.out, report.to_json() + "\n")
     return 0
 
 

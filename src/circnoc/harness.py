@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import astuple, dataclass, field, fields
+from collections import namedtuple
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -28,7 +28,7 @@ from .analysis import (
     resource_usage,
 )
 from .errors import LivelockError, ValidationError
-from .routing import ALGORITHMS, CORRECTED, AdaptiveMode, RouterConfig, dataclass_json, route_runs
+from .routing import ALGORITHMS, CORRECTED, AdaptiveMode, RouterConfig, route_runs
 from .topology import SELECTION_RULES, compare_topologies, search_best_ring_circulant
 
 __all__ = [
@@ -56,25 +56,28 @@ def square_sizes(min_side: int = 3, max_side: int = 23) -> tuple[int, ...]:
     return tuple(side * side for side in range(min_side, max_side + 1))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(
+    namedtuple(
+        "ExperimentConfig",
+        "figure values selection mode out_path out_format",
+        defaults=((), "best_ring", CORRECTED, None, "csv"),
+    )
+):
     """One dataset regeneration request.
 
     ``values`` are sides for ``topology_metrics``, network sizes for
     ``cycles``/``efficiency``/``memory``, router counts for ``resources``;
     ``capacity`` takes none.  Figures that route packets require the
     ``best_ring`` selection rule, since the other rules may pick
-    circulants without the unit generatrix.
+    circulants without the unit generatrix.  ``mode`` is the
+    ``AdaptiveMode`` of routed figures, and ``out_path``, when set, is
+    where the artifact is written, as ``out_format`` ``csv`` or ``json``.
     """
 
-    figure: str
-    values: tuple[int, ...] = ()
-    selection: str = "best_ring"
-    mode: AdaptiveMode = CORRECTED
-    out_path: str | Path | None = None
-    out_format: str = "csv"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> ExperimentConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.figure not in FIGURES:
             raise ValidationError(f"unknown figure {self.figure!r}; expected one of {FIGURES}")
         if self.figure == "capacity" and self.values:
@@ -93,10 +96,10 @@ class ExperimentConfig:
             raise ValidationError(f"unknown output format {self.out_format!r}")
         if self.figure == "capacity" and self.out_format != "json":
             raise ValidationError("the capacity report is a JSON artifact")
+        return self
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Rows plus the rendered artifact text of one experiment run."""
 
     figure: str
@@ -165,7 +168,7 @@ def _rows_efficiency(config: ExperimentConfig) -> list[tuple]:
 
 
 def _rows_memory(config: ExperimentConfig) -> list[tuple]:
-    return [astuple(memory_report(n)) for n in sorted(set(config.values))]
+    return [memory_report(n) for n in sorted(set(config.values))]
 
 
 def _rows_resources(config: ExperimentConfig) -> list[tuple]:
@@ -185,11 +188,7 @@ def _rows_resources(config: ExperimentConfig) -> list[tuple]:
 
 def _rows_capacity(config: ExperimentConfig) -> list[tuple]:
     profile = ChipProfile()
-    return [astuple(chip_capacity(DEFAULT_RESOURCE_MODEL, a, profile)) for a in ALGORITHMS]
-
-
-def _field_names(report: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(report))
+    return [chip_capacity(DEFAULT_RESOURCE_MODEL, a, profile) for a in ALGORITHMS]
 
 
 class FigureSpec(NamedTuple):
@@ -215,11 +214,11 @@ FIGURE_SPECS = {
         ("n", "s2", "max_cycles"), tuple(range(5, 201)), _rows_cycles, _meta_cycles
     ),
     "efficiency": FigureSpec(("n", "s2", "algorithm", "K"), square_sizes(), _rows_efficiency),
-    "memory": FigureSpec(_field_names(MemoryReport), square_sizes(), _rows_memory),
+    "memory": FigureSpec(MemoryReport._fields, square_sizes(), _rows_memory),
     "resources": FigureSpec(
         ("x", "algorithm", "alm", "registers"), square_sizes(), _rows_resources
     ),
-    "capacity": FigureSpec(_field_names(CapacityReport), (), _rows_capacity),
+    "capacity": FigureSpec(CapacityReport._fields, (), _rows_capacity),
 }
 
 FIGURES = tuple(FIGURE_SPECS)
@@ -269,44 +268,46 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(
+    namedtuple("FuzzConfig", "seed trials n_min n_max mode", defaults=(10_000, 5, 300, CORRECTED))
+):
     """Seeded random routing workload; identical seeds replay identically.
 
     ``mode`` is the adaptive variant that every adaptive draw routes with.
     """
 
-    seed: int
-    trials: int = 10_000
-    n_min: int = 5
-    n_max: int = 300
-    mode: AdaptiveMode = CORRECTED
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> FuzzConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.n_min < 5:
             raise ValidationError(f"n_min must be >= 5, got {self.n_min}")
         if self.n_max < self.n_min:
             raise ValidationError(f"n_max {self.n_max} below n_min {self.n_min}")
+        return self
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
     """Outcome of a termination fuzz run."""
 
     seed: int
     trials: int
     n_min: int
     n_max: int
-    livelocks: tuple[dict, ...] = field(default_factory=tuple)
+    livelocks: tuple[dict, ...] = ()
 
     @property
     def livelock_count(self) -> int:
         return len(self.livelocks)
 
     def to_json(self) -> str:
-        return dataclass_json(self, {"livelock_count": "n_max"}, indent=2) + "\n"
+        """The fields in order with ``livelock_count`` after ``n_max``, indented by 2."""
+        return json.dumps({
+            "seed": self.seed, "trials": self.trials, "n_min": self.n_min, "n_max": self.n_max,
+            "livelock_count": self.livelock_count, "livelocks": self.livelocks,
+        }, indent=2) + "\n"
 
 
 def fuzz_termination(config: FuzzConfig) -> FuzzReport:

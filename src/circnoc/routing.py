@@ -23,7 +23,7 @@ only rule output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 from operator import mod
@@ -52,8 +52,7 @@ ALGORITHMS = ("table", "clockwise", "adaptive")
 ADAPTIVE_VARIANTS = ("printed", "corrected")
 
 
-@dataclass(frozen=True)
-class RouterConfig:
+class RouterConfig(namedtuple("RouterConfig", "n s1 s2")):
     """Ring circulant routing parameters: n nodes, generatrices 1 and s2.
 
     Routing arithmetic requires the unit first generatrix and s2 strictly
@@ -64,14 +63,13 @@ class RouterConfig:
     and the sign of d (its ties go counter-clockwise, so u -> v and
     v -> u can differ).  ``trace_route`` keeps the table runs and the
     adaptive runs it has decided in this config's ``_memo``, which is not
-    a field: equality, hashing and ``asdict`` see n, s1 and s2 only.
+    a field: the class sets no ``__slots__``, so each config has a
+    ``__dict__`` for its cached properties, while equality, hashing,
+    ``repr`` and ``_asdict()`` see n, s1 and s2 only.
     """
 
-    n: int
-    s1: int
-    s2: int
-
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> RouterConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.s1 != 1:
             raise ValidationError(f"first generatrix must be 1, got {self.s1}")
         if self.s2 < 2:
@@ -80,6 +78,7 @@ class RouterConfig:
             raise ValidationError(
                 f"second generatrix {self.s2} must be below n/2 = {self.n / 2}"
             )
+        return self
 
     @classmethod
     def from_spec(cls, spec: CirculantSpec) -> "RouterConfig":
@@ -87,13 +86,12 @@ class RouterConfig:
             raise ValidationError(f"routing requires a ring circulant C(n; 1, s2), got {spec}")
         return cls(spec.n, spec.generatrices[0], spec.generatrices[1])
 
-    def port_steps(self) -> tuple[int, int, int, int]:
-        """Signed node-label steps by port number (clockwise numbering)."""
-        return self._steps
-
     @cached_property
-    def _steps(self) -> tuple[int, int, int, int]:
-        """``port_steps()``, kept with the config: every router reads it once per route."""
+    def port_steps(self) -> tuple[int, int, int, int]:
+        """Signed node-label steps by port number (clockwise numbering).
+
+        Kept with the config: every router reads it once per route.
+        """
         return (self.s1, self.s2, -self.s1, -self.s2)
 
     @cached_property
@@ -115,8 +113,7 @@ class RouterConfig:
         return f"C({self.n}; {self.s1}, {self.s2})"
 
 
-@dataclass(frozen=True)
-class AdaptiveMode:
+class AdaptiveMode(namedtuple("AdaptiveMode", "variant max_cycles", defaults=("corrected", 2))):
     """Adaptive routing variant and wrap bound.
 
     ``corrected`` seeds the counter-clockwise candidate scan with n - S;
@@ -137,24 +134,24 @@ class AdaptiveMode:
     displacement, and its hops can leave V where it was.
     """
 
-    variant: str = "corrected"
-    max_cycles: int | None = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> AdaptiveMode:
+        self = super().__new__(cls, *args, **kwargs)
         if self.variant not in ADAPTIVE_VARIANTS:
             raise ValidationError(
                 f"unknown adaptive variant {self.variant!r}; expected one of {ADAPTIVE_VARIANTS}"
             )
         if self.max_cycles is not None and self.max_cycles < 2:
             raise ValidationError(f"max_cycles must be >= 2, got {self.max_cycles}")
+        return self
 
 
 CORRECTED = AdaptiveMode("corrected", 2)
 AS_PRINTED = AdaptiveMode("printed", 2)
 
 
-@dataclass(frozen=True)
-class RoutingTable:
+class RoutingTable(NamedTuple):
     """Next-hop ports indexed by label difference; ``ports[0]`` is None.
 
     Circulants are vertex-transitive, so the port from u toward v is
@@ -212,21 +209,6 @@ class RouteTrace(NamedTuple):
         return json.dumps({**self._asdict(), "hops": self.hops})
 
 
-def dataclass_json(obj, derived: dict[str, str] | None = None, indent: int | None = None) -> str:
-    """JSON object of a dataclass's fields, in declaration order.
-
-    ``derived`` maps each extra property to include onto the field it
-    follows, so reports keep a fixed key order and identical bytes.
-    """
-    data = {}
-    for key, value in asdict(obj).items():
-        data[key] = value
-        for name, after in (derived or {}).items():
-            if after == key:
-                data[name] = getattr(obj, name)
-    return json.dumps(data, indent=indent)
-
-
 def _check_node(value: int, n: int, name: str) -> None:
     if not 0 <= value < n:
         raise ValidationError(f"{name} {value} out of range [0, {n})")
@@ -257,7 +239,7 @@ def build_routing_table(cfg: RouterConfig) -> RoutingTable:
     """
     n = cfg.n
     profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
-    steps = cfg._steps
+    steps = cfg.port_steps
     row = tuple(_shortest_port(profile, steps, offset, n) for offset in range(1, n))
     return RoutingTable(cfg=cfg, ports=(None,) + row)
 
@@ -275,7 +257,7 @@ def _table_legs(offset: int, cfg: RouterConfig) -> tuple[int, int, int, int]:
     shortest) and fails above, where ``first`` would descend at the turn,
     so bisection finds c1 in O(log D) reads of the profile, read once.
     """
-    n, steps = cfg.n, cfg._steps
+    n, steps = cfg.n, cfg.port_steps
     profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
     total = profile[offset]
     first = _shortest_port(profile, steps, offset, n)
@@ -431,7 +413,7 @@ def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMo
     unit step fewer, or, after an overshoot without a wrap, the unit-step
     form of the other direction.  The next scan finds it or a better one.
     """
-    return cfg._steps[_adaptive_run(dest - current, cfg, mode) & 3]
+    return cfg.port_steps[_adaptive_run(dest - current, cfg, mode) & 3]
 
 
 def _adaptive_runs(src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode) -> tuple[int, ...]:
@@ -449,7 +431,7 @@ def _adaptive_runs(src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode) ->
     repeats forever.  ``LivelockError`` then names the cycle, from the
     first node the listed walk revisits back to it.
     """
-    n, steps = cfg.n, cfg._steps
+    n, steps = cfg.n, cfg.port_steps
     memo = cfg._memo.setdefault(mode, {})
     runs: list[int] = []
     starts = set() if mode.variant == "printed" else None
@@ -538,7 +520,7 @@ def _route_nodes(
     than once is reduced mod n node by node.  Both tuples are built at
     their exact size.  A route too long to list raises ``ValidationError``.
     """
-    n, steps = cfg.n, cfg._steps
+    n, steps = cfg.n, cfg.port_steps
     nodes = [src]
     ports: tuple[int, ...] = ()
     node = src

@@ -11,10 +11,10 @@ export them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 
@@ -36,21 +36,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(namedtuple("CirculantSpec", "n generatrices")):
     """Identity of a circulant topology: node count plus ordered generatrices.
 
     ``C(n; s1, ..., sk)`` requires ``1 <= s1 < ... < sk <= n // 2`` and
-    ``gcd(n, s1, ..., sk) == 1`` so the graph is connected.
+    ``gcd(n, s1, ..., sk) == 1`` so the graph is connected.  The
+    generatrices are kept as a tuple.
     """
 
-    n: int
-    generatrices: tuple[int, ...]
-
+    __slots__ = ()
     kind = "circulant"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generatrices", tuple(self.generatrices))
+    def __new__(cls, n: int, generatrices: Iterable[int]) -> CirculantSpec:
+        self = super().__new__(cls, n, tuple(generatrices))
         gens = self.generatrices
         if self.n < 3:
             raise ValidationError(f"circulant needs n >= 3 nodes, got n={self.n}")
@@ -68,6 +66,7 @@ class CirculantSpec:
             raise ValidationError(
                 f"gcd(n, {', '.join(map(str, gens))}) != 1: graph would be disconnected"
             )
+        return self
 
     @property
     def k(self) -> int:
@@ -100,18 +99,16 @@ class CirculantSpec:
         return f"C({self.n}; {', '.join(map(str, self.generatrices))})"
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "kind rows cols")):
     """Identity of a rows x cols ``mesh``, or ``torus`` with wraparound links.
 
     A torus side below 3 would duplicate wrap edges, so it is rejected.
     """
 
-    kind: str
-    rows: int
-    cols: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GridSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("mesh", "torus"):
             raise ValidationError(f"unknown grid kind {self.kind!r}; expected 'mesh' or 'torus'")
         least = 3 if self.kind == "torus" else 1
@@ -121,6 +118,7 @@ class GridSpec:
             )
         if self.n < 2:
             raise ValidationError("mesh needs at least 2 nodes")
+        return self
 
     @property
     def n(self) -> int:
@@ -155,8 +153,7 @@ class GridSpec:
         return f"{self.kind} {self.rows}x{self.cols}"
 
 
-@dataclass(frozen=True)
-class TopologyMetrics:
+class TopologyMetrics(NamedTuple):
     """Distance and size metrics of a connected graph.
 
     ``avg_distance`` averages shortest-path hops over ordered pairs
@@ -169,8 +166,7 @@ class TopologyMetrics:
     max_degree: int
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """Per-size comparison of one circulant against square mesh and torus.
 
     Reductions are percentages, ``100 * (other - circulant) / other``.

@@ -148,7 +148,7 @@ def _table_descends_everywhere(cfg, dist):
     n = cfg.n
     idx = np.arange(n)
     ports = np.array([[0 if p is None else p for p in row] for row in table.entries])
-    steps = np.array(cfg.port_steps())
+    steps = np.array(cfg.port_steps)
     darr = np.array(dist)
     pair_dist = darr[(idx[None, :] - idx[:, None]) % n]
     next_node = (idx[:, None] + steps[ports]) % n

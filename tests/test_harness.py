@@ -1,9 +1,12 @@
+import copy
 import csv
 import io
 import json
+import pickle
 
 import pytest
 
+from circnoc.analysis import ChipProfile, QuadraticCost, format_memory_csv, memory_report
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.harness import (
     REFERENCE_FIRST_N_OVER_TWO_CYCLES,
@@ -14,7 +17,7 @@ from circnoc.harness import (
     square_sizes,
 )
 from circnoc.routing import AS_PRINTED, AdaptiveMode, RouterConfig, clockwise_hop_count, trace_route
-from circnoc.topology import search_best_ring_circulant
+from circnoc.topology import CirculantSpec, GridSpec, search_best_ring_circulant
 from oracles import ref_ring_profile
 
 
@@ -116,6 +119,13 @@ def test_memory_figure_monotone_columns():
         assert len(set(series)) > 1
 
 
+def test_memory_csv_writers_agree():
+    # memory --out writes format_memory_csv; the memory figure renders the same reports
+    sizes = (9, 16, 100)
+    figure = run_experiment(ExperimentConfig("memory", sizes))
+    assert format_memory_csv([memory_report(n) for n in sizes]) == figure.text
+
+
 def test_resources_figure_rows():
     result = run_experiment(ExperimentConfig(figure="resources", values=(100, 50)))
     assert [row[:2] for row in result.rows if row[1] != "clockwise"] == [
@@ -157,6 +167,34 @@ def test_experiment_writes_artifact(tmp_path):
     )
     assert result.path == path
     assert path.read_text(encoding="utf-8") == result.text
+
+
+# --- value types -------------------------------------------------------------------
+
+def _routed(cfg):
+    trace_route("adaptive", 0, 9, cfg)  # fills the route memo, which is not a field
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        CirculantSpec(16, [1, 7]),
+        GridSpec("torus", 3, 4),
+        _routed(RouterConfig(16, 1, 7)),
+        AdaptiveMode("printed", None),
+        QuadraticCost(1.0, 2.0, 0.5),
+        ChipProfile(budget_fraction=0.5),
+        ExperimentConfig("memory", (9, 16)),
+        FuzzConfig(seed=3, trials=7),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_rebuilt_value_is_equal_and_of_its_type(value):
+    # copy and unpickling rebuild the tuple through __new__, which validates
+    for rebuilt in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert type(rebuilt) is type(value)
+        assert rebuilt == value
 
 
 # --- fuzzing -----------------------------------------------------------------------

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -63,7 +62,7 @@ def test_router_config_memo_is_not_a_field():
     fresh = RouterConfig(16, 1, 7)
     assert cfg == fresh and hash(cfg) == hash(fresh)
     assert repr(cfg) == "RouterConfig(n=16, s1=1, s2=7)"
-    assert asdict(cfg) == {"n": 16, "s1": 1, "s2": 7}
+    assert cfg._asdict() == {"n": 16, "s1": 1, "s2": 7}
 
 
 @pytest.mark.parametrize("n, bits", [(2, 1), (8, 3), (9, 4), (100, 7), (128, 7), (129, 8), (529, 10)])
@@ -77,8 +76,8 @@ def test_payload_bits_rejects_tiny_n():
 
 
 def test_port_for_step_clockwise_numbering():
-    # port p steps by port_steps()[p]; trace_route maps a step back with steps.index
-    steps = C8.port_steps()
+    # port p steps by port_steps[p]; trace_route maps a step back with steps.index
+    steps = C8.port_steps
     assert steps.index(1) == 0
     assert steps.index(3) == 1
     assert steps.index(-1) == 2
@@ -87,7 +86,7 @@ def test_port_for_step_clockwise_numbering():
 
 
 def test_step_for_port_roundtrip():
-    steps = C16.port_steps()
+    steps = C16.port_steps
     for port in range(4):
         assert steps.index(steps[port]) == port
     assert len(steps) == 4
@@ -154,7 +153,7 @@ def test_routing_table_descends_toward_destination(cfg):
             if src == dst:
                 continue
             port = table.port(src, dst)
-            nxt = (src + cfg.port_steps()[port]) % cfg.n
+            nxt = (src + cfg.port_steps[port]) % cfg.n
             assert port == table.entries[src][dst]
             assert dist[nxt] == dist[src] - 1
 
@@ -208,7 +207,7 @@ def test_clockwise_matches_closed_form_and_oracle():
 def test_clockwise_never_flips_regime():
     for cfg, src, dst in [(C16, 3, 11), (C16, 11, 3), (C100, 0, 70), (C8, 2, 6)]:
         trace = trace_route("clockwise", src, dst, cfg)
-        deltas = {cfg.port_steps()[p] > 0 for p in trace.ports}
+        deltas = {cfg.port_steps[p] > 0 for p in trace.ports}
         assert len(deltas) == 1
 
 
@@ -413,7 +412,7 @@ def test_trace_ports_replay_to_nodes():
             node = src
             replay = [node]
             for port in trace.ports:
-                node = (node + C8.port_steps()[port]) % C8.n
+                node = (node + C8.port_steps[port]) % C8.n
                 replay.append(node)
             assert tuple(replay) == trace.nodes
             assert trace.nodes[0] == src and trace.nodes[-1] == dst
@@ -427,7 +426,7 @@ def test_trace_table_agrees_with_routing_table():
         node = src
         for port in trace.ports:
             assert port == table.entries[node][dst]
-            node = (node + C16.port_steps()[port]) % C16.n
+            node = (node + C16.port_steps[port]) % C16.n
 
 
 def test_trace_livelock_error_names_cycle():
@@ -456,7 +455,7 @@ def test_memoized_traces_follow_the_per_hop_helpers():
         for v in range(1, n):
             trace_route("adaptive", 0, v, cfg, warm)
             trace_route("adaptive", v, 0, cfg, warm)
-        profile, steps = circulant_distance_profile(n, (1, cfg.s2)), cfg.port_steps()
+        profile, steps = circulant_distance_profile(n, (1, cfg.s2)), cfg.port_steps
         rules = {
             "table": lambda u, v: steps[_shortest_port(profile, steps, (v - u) % n, n)],
             "clockwise": lambda u, v: _clockwise_delta(u, v, cfg),
