@@ -139,12 +139,15 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     For each destination offset the candidate scan of both directions is
     extended wrap by wrap while a candidate can still be as short as the
     breadth-first distance d, that is while ``(base + m*n) // s2 <= d``;
-    the fewest wraps at which a direction reaches d wins.
+    the fewest wraps at which a direction reaches d wins.  Offsets k and
+    n - k scan the same two bases with the same d, so only the offsets
+    1 .. n // 2 are scanned and the rest mirror them, as in
+    ``circulant_distance_profile``.
     """
     n, s2 = cfg.n, cfg.s2
     profile = circulant_distance_profile(n, (cfg.s1, s2))
     per = [0] * n
-    for offset in range(1, n):
+    for offset in range(1, n // 2 + 1):
         d = profile[offset]
         reaching = []
         for base in (offset, n - offset):
@@ -152,6 +155,7 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
             if hops == d:
                 reaching.append(wraps)
         per[offset] = min(reaching)
+    per[n // 2 + 1:] = per[(n - 1) // 2:0:-1]
     return CycleReport(n=n, s2=s2, per_destination=tuple(per))
 
 

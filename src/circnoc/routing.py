@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import cached_property
 from itertools import repeat
 from operator import mod
 from typing import NamedTuple
@@ -61,11 +60,23 @@ class RouterConfig(namedtuple("RouterConfig", "n s1 s2")):
     Every router picks its next port from d = dest - current alone: the
     table and clockwise rules read d mod n, the adaptive rule reads |d|
     and the sign of d (its ties go counter-clockwise, so u -> v and
-    v -> u can differ).  ``trace_route`` keeps the table runs and the
-    adaptive runs it has decided in this config's ``_memo``, which is not
-    a field: the class sets no ``__slots__``, so each config has a
-    ``__dict__`` for its cached properties, while equality, hashing,
-    ``repr`` and ``_asdict()`` see n, s1 and s2 only.
+    v -> u can differ).  The class sets no ``__slots__``, and ``__new__``
+    puts two plain attributes in each config's ``__dict__``, which
+    equality, hashing, ``repr`` and ``_asdict()`` do not see:
+
+    * ``port_steps``, the signed label steps by port number (clockwise
+      numbering), which every router reads once per route;
+    * ``_memo``, the route memo of ``trace_route``, living as long as this
+      config.  ``"table"`` maps an offset d = (dst - src) mod n in [1, n)
+      to the four ints of its route's two runs (``_table_legs``).  Each
+      ``AdaptiveMode`` maps d = dest - current in (-n, n) to the run that
+      starts there, packed in one int (``_adaptive_run``).  Entries are
+      added when a route first needs them, so the table dict holds at most
+      n - 1 entries and an adaptive dict at most 2n - 2.  Clockwise routes
+      come from their closed form and are not memoized.
+
+    ``_make``, and so ``_replace``, builds through ``__new__`` and
+    validates too.
     """
 
     def __new__(cls, *args, **kwargs) -> RouterConfig:
@@ -75,39 +86,20 @@ class RouterConfig(namedtuple("RouterConfig", "n s1 s2")):
         if self.s2 < 2:
             raise ValidationError(f"second generatrix must be >= 2, got {self.s2}")
         if 2 * self.s2 >= self.n:
-            raise ValidationError(
-                f"second generatrix {self.s2} must be below n/2 = {self.n / 2}"
-            )
+            raise ValidationError(f"second generatrix {self.s2} must be below n/2 = {self.n / 2}")
+        self.port_steps = (self.s1, self.s2, -self.s1, -self.s2)
+        self._memo = {}
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> RouterConfig:
+        return cls(*iterable)
 
     @classmethod
     def from_spec(cls, spec: CirculantSpec) -> "RouterConfig":
         if spec.k != 2 or not spec.is_ring:
             raise ValidationError(f"routing requires a ring circulant C(n; 1, s2), got {spec}")
         return cls(spec.n, spec.generatrices[0], spec.generatrices[1])
-
-    @cached_property
-    def port_steps(self) -> tuple[int, int, int, int]:
-        """Signed node-label steps by port number (clockwise numbering).
-
-        Kept with the config: every router reads it once per route.
-        """
-        return (self.s1, self.s2, -self.s1, -self.s2)
-
-    @cached_property
-    def _memo(self) -> dict[object, dict[int, tuple[int, int, int, int] | int]]:
-        """Route memo of ``trace_route``, living as long as this config.
-
-        ``"table"`` maps an offset d = (dst - src) mod n in [1, n) to the
-        four ints of its route's two runs (``_table_legs``).  Each
-        ``AdaptiveMode`` maps d = dest - current in (-n, n) to the run that
-        starts there, packed in one int (``_adaptive_run``).  Entries are
-        added when a route first needs them, so the table dict holds at
-        most n - 1 entries and an adaptive dict at most 2n - 2, one int or
-        one 4-tuple each, and no more than the runs routed.  Clockwise
-        routes come from their closed form and are not memoized.
-        """
-        return {}
 
     def __str__(self) -> str:
         return f"C({self.n}; {self.s1}, {self.s2})"

@@ -11,6 +11,7 @@ export them.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
@@ -285,7 +286,7 @@ def formula_optimal_circulant(n: int) -> CirculantSpec:
     return CirculantSpec(n, (d - 1, d))
 
 
-def _envelope(heights: dict[int, int], m: int) -> tuple[int, int]:
+def _envelope(heights: dict[int, int], m: int, bound: int) -> tuple[int, int]:
     """(diameter, total) of the lower envelope of slope-1 tents on an m-cycle.
 
     ``heights`` maps each apex position in ``0 .. m - 1`` to its tent height,
@@ -300,7 +301,8 @@ def _envelope(heights: dict[int, int], m: int) -> tuple[int, int]:
     its values sum to ``s * s // 4 - h1 (h1 - 1) / 2 - h2 (h2 - 1) / 2``.
     Each inner apex ends one gap and starts the next, and the cut apex is
     one node listed twice, so the total is
-    ``sum(s * s // 4) - sum(h * h) + h0 * h0``.
+    ``sum(s * s // 4) - sum(h * h) + h0 * h0``.  A diameter above
+    ``bound`` loses whatever the total, so it comes back at once, total 0.
     """
     h0 = heights[0]
     heights[m] = h0
@@ -309,7 +311,10 @@ def _envelope(heights: dict[int, int], m: int) -> tuple[int, int]:
     right = list(accumulate([heights[a] + a for a in reversed(apexes)], min))[::-1]
     h = [min(lo + a, hi - a) for lo, hi, a in zip(left, right, apexes)]
     spans = [h1 + h2 + b - a for h1, h2, a, b in zip(h, h[1:], apexes, apexes[1:])]
-    return max(spans) // 2, sum(s * s // 4 for s in spans) - sum(x * x for x in h) + h0 * h0
+    diameter = max(spans) // 2
+    if diameter > bound:
+        return diameter, 0
+    return diameter, sum(s * s // 4 for s in spans) - sum(x * x for x in h) + h0 * h0
 
 
 def _ring_key(n: int, t: int, bound: int) -> tuple[int, int]:
@@ -323,12 +328,13 @@ def _ring_key(n: int, t: int, bound: int) -> tuple[int, int]:
     so the lowest height at each apex is the one kept, and the apex 0 has
     height 0.  The result is exact when the diameter is at most ``bound``,
     because the best j of every k then has ``|j| <= d(k) <= bound``;
-    otherwise the envelope lies above the profile and its diameter exceeds
-    ``bound``.  This is ``_pair_key(n, 1, t, bound)``, one coset, with the
-    label arithmetic left out: the ring search calls it for every candidate.
+    otherwise the envelope lies above the profile, its diameter exceeds
+    ``bound``, and its total is left at 0.  This is ``_pair_key(n, 1, t,
+    bound)``, one coset, with the label arithmetic left out: the ring
+    search calls it for every candidate.
     """
     heights = {p: j for j in range(bound, -1, -1) for p in (j * t % n, -j * t % n)}
-    return _envelope(heights, n)
+    return _envelope(heights, n, bound)
 
 
 def _pair_key(n: int, s1: int, s2: int, bound: int) -> tuple[int, int]:
@@ -375,7 +381,7 @@ def _pair_key(n: int, s1: int, s2: int, bound: int) -> tuple[int, int]:
             for p, h in ((-(k + 1) * t % m, (k + 1) * g - j0), (k * t % m, k * g + j0))
             if h <= bound
         }
-        coset_diameter, coset_total = _envelope(heights, m)
+        coset_diameter, coset_total = _envelope(heights, m, bound)
         if coset_diameter > bound:
             return coset_diameter, total
         diameter = max(diameter, coset_diameter)
@@ -408,24 +414,26 @@ def _layer_floor(n: int) -> tuple[int, int]:
 def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
     """Second generatrix and (diameter, total distance) of the best C(n; 1, t).
 
-    The walk and its two shortcuts are those of ``search_best_ring_circulant``.
+    The walk and its shortcuts are those of ``search_best_ring_circulant``.
     The twin of a unit t is ``min(a, n - a)`` with ``a = t**-1 mod n``:
     multiplying every label by a maps C(n; 1, t) onto C(n; a, 1) (Adam's
     isomorphism), so the two have one key.
     """
     floor = _layer_floor(n)
-    best_t, best_key = 0, (n // 2 + 1, 0)
-    for t in range(2, (n - 1) // 2 + 1):
-        if math.gcd(t, n) == 1:
-            a = pow(t, -1, n)
-            if min(a, n - a) < t:
-                continue
-        key = _ring_key(n, t, best_key[0])
-        if key < best_key:
-            best_t, best_key = t, key
-            if key == floor:
-                break
-    return best_t, best_key
+    for cap in (floor[0] + 1, n // 2):
+        best_t, best_key = 0, (cap, math.inf)
+        for t in range(2, (n - 1) // 2 + 1):
+            if math.gcd(t, n) == 1:
+                a = pow(t, -1, n)
+                if min(a, n - a) < t:
+                    continue
+            key = _ring_key(n, t, best_key[0])
+            if key < best_key:
+                best_t, best_key = t, key
+                if key == floor:
+                    break
+        if best_t:
+            return best_t, best_key
 
 
 def search_best_ring_circulant(n: int) -> CirculantSpec:
@@ -434,11 +442,14 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
     Minimizes (diameter, average distance) lexicographically over
     s2 in [2, ceil(n/2) - 1]; ties go to the smallest s2.  Each candidate's
     key is the lower envelope of its tents (``_ring_key``) laid up to the
-    best diameter found so far.  That bound starts at n // 2 + 1, one above
-    the bare ring's diameter.  A candidate within the bound gets its exact
-    key; one beyond it gets a diameter above the bound, so it loses to the
-    best as it should.  The walk goes over s2 in increasing order and
-    replaces the best only on a strict improvement.
+    best diameter found so far.  A candidate within the bound gets its
+    exact key; one beyond it gets a diameter above the bound, so it loses
+    to the best as it should.  The walk goes over s2 in increasing order
+    and replaces the best only on a strict improvement.  The bound starts
+    one above the layer floor's diameter (below), so no candidate lays
+    more tents than that.  Only if no ring comes within it, which happens
+    at no n = 5..1499, is the walk run again from the bare ring's
+    diameter n // 2, which no C(n; 1, s2) exceeds.
 
     No layer of a two-generatrix circulant holds more than 4d nodes at
     distance d, so no key is below ``_layer_floor(n)``, the key of 4d nodes
@@ -447,10 +458,13 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
     and so has already shown the same key.  A skipped candidate could at
     best tie, and a tie never replaces the best, so the winner and its
     tie-break are those of the full walk.  The result depends on n alone,
-    so each n is searched once per process.
+    so each n is searched once per process.  An n above ``sys.maxsize``
+    raises ``ValidationError`` before any tent is laid.
     """
     if n < 5:
         raise ValidationError(f"no valid second generatrix for n={n}; need n >= 5")
+    if n > sys.maxsize:
+        raise ValidationError(f"n={n} is too large for an n-entry ring search")
     return CirculantSpec(n, (1, _best_ring(n)[0]))
 
 

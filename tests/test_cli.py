@@ -220,6 +220,18 @@ def test_compare_of_a_huge_side_exits_one(capsys):
     assert err.startswith(f"error: n={10**400} is too large")
 
 
+@pytest.mark.parametrize(
+    "argv", [("figure", "--id", "cycles", "--values", str(10**30)), ("compare", "--sides", str(10**15))]
+)
+def test_ring_search_too_large_to_exist_exits_one(capsys, argv):
+    # refused before the walk lays a tent, so nothing the size of n is built
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err == f"error: n={10**30} is too large for an n-entry ring search\n"
+
+
 @pytest.mark.parametrize("flag", ["compare --sides", "figure --id memory --values"])
 def test_oversized_value_range_exits_one(capsys, flag):
     code, _, err = run(capsys, *flag.split(), f"3..{10**30}")

@@ -65,6 +65,17 @@ def test_router_config_memo_is_not_a_field():
     assert cfg._asdict() == {"n": 16, "s1": 1, "s2": 7}
 
 
+def test_replaced_router_config_is_validated_and_routes():
+    # _replace builds through _make and so through __new__, which checks the
+    # fields and gives the copy its own port steps and route memo
+    cfg = RouterConfig(100, 1, 18)._replace(s2=44)
+    assert cfg == C100 and cfg.port_steps == (1, 44, -1, -44)
+    assert trace_route("table", 0, 37, cfg).hops == 7
+    assert RouterConfig._make((100, 1, 44)) == C100
+    with pytest.raises(ValidationError):
+        RouterConfig(100, 1, 18)._replace(s2=50)
+
+
 @pytest.mark.parametrize("n, bits", [(2, 1), (8, 3), (9, 4), (100, 7), (128, 7), (129, 8), (529, 10)])
 def test_payload_bits(n, bits):
     assert payload_bits(n) == bits

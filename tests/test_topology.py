@@ -305,14 +305,25 @@ def test_search_best_circulant2_starts_from_the_ring_search(monkeypatch):
 def test_ring_search_stops_at_the_floor_and_skips_multiplier_twins(monkeypatch):
     keyed = []
     ring_key = topology._ring_key
-    monkeypatch.setattr(topology, "_ring_key", lambda n, t, bound: keyed.append(t) or ring_key(n, t, bound))
+    monkeypatch.setattr(topology, "_ring_key", lambda n, t, bound: keyed.append((t, bound)) or ring_key(n, t, bound))
     _best_ring.cache_clear()
     assert _best_ring(2025) == (197, _layer_floor(2025))
-    assert max(keyed) == 197
-    for t in keyed:
+    assert max(t for t, _ in keyed) == 197
+    assert max(bound for _, bound in keyed) <= _layer_floor(2025)[0] + 1  # the walk is capped at the floor
+    for t, _ in keyed:
         if math.gcd(t, 2025) == 1:
             a = pow(t, -1, 2025)
             assert min(a, 2025 - a) >= t, t
+
+
+def test_ring_search_walks_again_when_no_ring_comes_within_the_cap(monkeypatch):
+    # a floor of diameter 1 caps the first walk at 2, which no ring here
+    # meets, so the second walk from n // 2 decides; 144 misses the floor
+    expected = {n: _best_ring.__wrapped__(n) for n in (37, 100, 144)}
+    assert expected[144][1] > _layer_floor(144)
+    monkeypatch.setattr(topology, "_layer_floor", lambda n: (1, 0))
+    for n, best in expected.items():
+        assert _best_ring.__wrapped__(n) == best
 
 
 def test_general_search_keys_no_pair_once_the_ring_meets_the_floor(monkeypatch):
