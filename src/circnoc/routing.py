@@ -2,8 +2,10 @@
 
 Three strategies share one four-port router model:
 
-* ``table``     -- next hops precomputed from shortest-path distances and
-                   stored per label difference (one n-entry row);
+* ``table``     -- the lowest port on a shortest path, per label
+                   difference: a route reads its two legs from the
+                   candidate scan, and ``build_routing_table`` stores the
+                   n-entry row from the distance profile;
 * ``clockwise`` -- one-direction iterative arithmetic on the label
                    difference, cheap to evaluate but not always shortest;
 * ``adaptive``  -- bidirectional candidate search that also weighs routes
@@ -13,11 +15,12 @@ Three strategies share one four-port router model:
 Ports are numbered clockwise: 0 -> +s1, 1 -> +s2, 2 -> -s1, 3 -> -s2.
 Every router gives a route in one form, a short flat tuple of (port,
 count) runs (``route_runs``): table and clockwise routes are two runs,
-adaptive runs come from the candidate scan's arithmetic.  A trace lists
-the runs as ranges, split where a run crosses label 0 and reduced mod n
-node by node only where it crosses label 0 more than once.  Everything
-here is pure; tables and traces are immutable, and a route memo keeps
-only rule output.
+adaptive runs come from the candidate scan's arithmetic too.  A scan
+that could walk more ring wraps than ``WRAP_BUDGET`` is refused before
+it starts.  A trace lists the runs as ranges, split where a run crosses
+label 0 and reduced mod n node by node only where it crosses label 0
+more than once.  Everything here is pure; tables and traces are
+immutable, and a route memo keeps only rule output.
 """
 
 from __future__ import annotations
@@ -48,6 +51,12 @@ __all__ = [
 ]
 
 ALGORITHMS = ("table", "clockwise", "adaptive")
+# The most ring wraps a table scan or an unbounded adaptive scan may walk
+# (``_check_wraps``).  A table route's wrap bound is below n / 8 + 1, so
+# no n <= 4e7 is refused, and a BFS distance profile of C(1e7; 1, 5e6)
+# took 3.0 s and 435 MB; at the budget the scan walks about 7 s (1.5 us
+# per wrap in both directions; 2 shared cores, Python 3.11.7).
+WRAP_BUDGET = 5_000_000
 ADAPTIVE_VARIANTS = ("printed", "corrected")
 
 
@@ -76,7 +85,9 @@ class RouterConfig(namedtuple("RouterConfig", "n s1 s2")):
       come from their closed form and are not memoized.
 
     ``_make``, and so ``_replace``, builds through ``__new__`` and
-    validates too.
+    validates too, and so do a copy and an unpickled config
+    (``__reduce__``): each starts with its own empty memo, and a pickle
+    holds the three fields alone.
     """
 
     def __new__(cls, *args, **kwargs) -> RouterConfig:
@@ -94,6 +105,9 @@ class RouterConfig(namedtuple("RouterConfig", "n s1 s2")):
     @classmethod
     def _make(cls, iterable) -> RouterConfig:
         return cls(*iterable)
+
+    def __reduce__(self) -> tuple[type, tuple[int, int, int]]:
+        return RouterConfig, tuple(self)
 
     @classmethod
     def from_spec(cls, spec: CirculantSpec) -> "RouterConfig":
@@ -116,7 +130,8 @@ class AdaptiveMode(namedtuple("AdaptiveMode", "variant max_cycles", defaults=("c
     need well past the default of 2 before every route is shortest.
     ``None`` sets no bound: each scan then stops only once no further wrap
     can improve, after about V·s2/n wraps for a route of V hops, which is
-    O(n) per memo miss when s2 is near n/2.
+    O(n) per memo miss when s2 is near n/2; a scan whose wrap bound, read
+    from its unwrapped forms, exceeds ``WRAP_BUDGET`` is refused.
 
     Under ``corrected``, with any ``max_cycles``, every hop lowers the
     router's scan value V(u, v) (see ``_adaptive_delta``) by at least one,
@@ -237,32 +252,68 @@ def build_routing_table(cfg: RouterConfig) -> RoutingTable:
 
 
 def _table_legs(offset: int, cfg: RouterConfig) -> tuple[int, int, int, int]:
-    """The table route of an offset in [1, n) as two legs.
+    """The table route of an offset in [1, n) as two legs, from the candidate scan.
 
     Returns (first, c1, second, c2): c1 hops on port ``first``, then
-    c2 = D - c1 on ``second`` (``first`` when c2 is 0).  Steps commute, so
-    a port below the one just taken would have descended a hop earlier:
-    ports never fall along a route.  A shortest route never takes both
-    directions of one generatrix, so it holds at most two ports.  c1 is
-    the largest c for which c steps on ``first`` lower the distance D by
-    c, one each.  That holds up to c1 (a prefix of a shortest route is
-    shortest) and fails above, where ``first`` would descend at the turn,
-    so bisection finds c1 in O(log D) reads of the profile, read once.
+    c2 = D - c1 on ``second`` (``first`` when c2 is 0).
+
+    A route to the offset is J long and R unit steps (signed) with
+    J s2 + R = b, b = offset + k n for some wrap k, in |J| + |R| hops
+    (Monakhova, "A survey on undirected circulant graphs", 2012).  For a
+    fixed b the cost |J| + |b - J s2| falls strictly while J < b / s2 and
+    rises strictly above it (s2 >= 2), so only J = floor(b / s2) and
+    ceil(b / s2) can be least: ``_scan``'s two forms, q + r and
+    q - r + s2 + 1.  The b >= 0 are the offset plus m wraps, the b < 0
+    minus n - offset plus m wraps, and both forms of wrap m take at least
+    q = |b| // s2 hops, which grows with m.  So the scan walks m = 0, 1, ...
+    in both directions at once, stops a direction once q exceeds the best
+    so far, and sees every representation tied at the distance D: no
+    other J of a wrap ties, and no later wrap reaches D.
+
+    The table leaves by the lowest port that brings the packet one hop
+    closer, and a port does that exactly when some tie uses it: drop one
+    of its steps for a route one hop shorter; conversely a shortest route
+    of the neighbour plus the step is shortest and cannot hold the
+    opposite step, which would cancel.  Steps commute, so a port below the
+    one just taken would have descended a hop earlier: ports never fall.
+    So ``first`` is the lowest port any tie uses, c1 the largest count of
+    it among the ties, and the ties with that count, less those c1 steps,
+    are the shortest routes of the rest, so ``second`` is the lowest other
+    port among them.  Written as hop counts per port (at most two nonzero,
+    summing to D), the greatest tie in tuple order has exactly these: all
+    ties are 0 below ``first``, and those with c1 put D - c1 on one other
+    port, which compares greatest at the lowest.  The scan keeps only it.
+
+    A direction walks about D s2 / n + 1 wraps, and at most
+    W0 = ((B + 1) s2 - 1 - base) // n, B the best unwrapped form, which is
+    below n / 8 + 1.  ``_check_wraps`` refuses a W0 above ``WRAP_BUDGET``
+    before the first wrap.
     """
-    n, steps = cfg.n, cfg.port_steps
-    profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
-    total = profile[offset]
-    first = _shortest_port(profile, steps, offset, n)
-    step = steps[first]
-    lo, hi = 1, total
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if profile[(offset - mid * step) % n] == total - mid:
-            lo = mid
-        else:
-            hi = mid - 1
-    second = _shortest_port(profile, steps, (offset - lo * step) % n, n) if lo < total else first
-    return first, lo, second, total - lo
+    n, s2 = cfg.n, cfg.s2
+    back = n - offset
+    best = min(_scan(offset, n, s2, 0)[0], _scan(back, n, s2, 0)[0])
+    _check_wraps(min(offset, back), best, n, s2)
+    # A tie is its hop count per port; a backward one mirrors port p to p ^ 2.
+    top = (0, 0, 0, 0)
+    wrapped, live = 0, True
+    while live:
+        live = False
+        for backward, base in enumerate((offset, back)):
+            q, r = divmod(base + wrapped, s2)
+            if q > best:
+                continue
+            live = True
+            under, over = q + r, q + 1 + s2 - r
+            if under < best or over < best:
+                best, top = min(under, over), (0, 0, 0, 0)
+            if under == best:
+                top = max(top, (0, 0, r, q) if backward else (r, q, 0, 0))
+            if over == best:
+                top = max(top, (s2 - r, 0, 0, q + 1) if backward else (0, q + 1, s2 - r, 0))
+        wrapped += n
+    ports = [port for port in range(4) if top[port]]
+    first = ports[0]
+    return first, top[first], ports[-1], best - top[first]
 
 
 def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:
@@ -304,6 +355,20 @@ def clockwise_hop_count(src: int, dst: int, cfg: RouterConfig) -> int:
     return q + r
 
 
+def _check_wraps(base: int, best: int, n: int, s2: int) -> None:
+    """Refuse a scan from ``base`` whose wrap bound exceeds ``WRAP_BUDGET``.
+
+    Wrap m goes on only while (base + m n) // s2 <= best, and the best only
+    falls, so at most W0 = ((best + 1) s2 - 1 - base) // n wraps are walked.
+    """
+    wraps = ((best + 1) * s2 - 1 - base) // n
+    if wraps > WRAP_BUDGET:
+        raise ValidationError(
+            f"a scan of {base} labels in C({n}; 1, {s2}) needs up to {wraps} ring wraps, "
+            f"above the budget of {WRAP_BUDGET}"
+        )
+
+
 def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int, int, bool]:
     """Adaptive candidate scan of one travel direction covering ``base``.
 
@@ -319,10 +384,14 @@ def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int
     bound when None) or once ``q = (base + m*n) // s2`` exceeds the best,
     whichever comes first: both forms of wrap m take at least q hops, and
     q grows with m, so no later wrap can improve.  Without a bound the
-    result is exact.  Returns (hops, wraps, unit step first).
+    result is exact, and a scan that could walk more than ``WRAP_BUDGET``
+    wraps raises ``ValidationError`` before the first (``_check_wraps``).
+    Returns (hops, wraps, unit step first).
     """
     q, r = divmod(base, s2)
     best = q + r if 2 * r <= s2 else q - r + s2 + 1
+    if max_wraps is None:
+        _check_wraps(base, best, n, s2)
     wraps, unit, m = 0, 0 < r and 2 * r <= s2, 1
     while (max_wraps is None or m <= max_wraps) and (base + m * n) // s2 <= best:
         q, r = divmod(base + m * n, s2)
@@ -472,11 +541,11 @@ def route_runs(
     routes are two runs (the second may be empty): each rule reads
     d = (dst - current) mod n alone, so the route from src is that of the
     offset (dst - src) mod n from 0.  Table runs are memoized per offset,
-    and a miss reads the distance profile once (``_table_legs``), so a warm
-    route never asks for it.  Neither rule can livelock: every hop strictly
-    lowers the distance to dst, or the clockwise residual.  Adaptive runs
-    come from ``_adaptive_runs``, which raises ``LivelockError`` naming
-    the cycle of a walk that livelocks.
+    and a miss runs the candidate scan once (``_table_legs``); no table
+    route reads the distance profile.  Neither rule can livelock: every
+    hop strictly lowers the distance to dst, or the clockwise residual.
+    Adaptive runs come from ``_adaptive_runs``, which raises
+    ``LivelockError`` naming the cycle of a walk that livelocks.
     """
     n = cfg.n
     _check_node(src, n, "src")

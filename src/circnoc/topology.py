@@ -417,12 +417,17 @@ def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
     The walk and its shortcuts are those of ``search_best_ring_circulant``.
     The twin of a unit t is ``min(a, n - a)`` with ``a = t**-1 mod n``:
     multiplying every label by a maps C(n; 1, t) onto C(n; a, 1) (Adam's
-    isomorphism), so the two have one key.
+    isomorphism), so the two have one key.  Every hop moves a label by at
+    most t, so node n // 2 is at least ``ceil((n // 2) / t)`` hops away; the
+    skip is strict, as the first bound ``(cap, inf)`` admits diameter cap.
     """
     floor = _layer_floor(n)
-    for cap in (floor[0] + 1, n // 2):
+    half = n // 2
+    for cap in (floor[0] + 1, half):
         best_t, best_key = 0, (cap, math.inf)
         for t in range(2, (n - 1) // 2 + 1):
+            if -(-half // t) > best_key[0]:
+                continue
             if math.gcd(t, n) == 1:
                 a = pow(t, -1, n)
                 if min(a, n - a) < t:
@@ -457,7 +462,8 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
     it skips a unit s2 whose multiplier twin (``_best_ring``) comes earlier
     and so has already shown the same key.  A skipped candidate could at
     best tie, and a tie never replaces the best, so the winner and its
-    tie-break are those of the full walk.  The result depends on n alone,
+    tie-break are those of the full walk.  It also skips an s2 too short
+    to reach node n // 2 within the best diameter so far, which would lose.  The result depends on n alone,
     so each n is searched once per process.  An n above ``sys.maxsize``
     raises ``ValidationError`` before any tent is laid.
     """

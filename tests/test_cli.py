@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from circnoc import routing
 from circnoc.analysis import DEFAULT_RESOURCE_MODEL, chip_capacity
 from circnoc.cli import main
 from circnoc.harness import ExperimentConfig, run_experiment
@@ -198,7 +199,6 @@ def test_route_without_a_wrap_bound(capsys):
     "argv",
     [
         ("table",),
-        ("route", "--algorithm", "table", "--src", "0", "--dst", "5"),
         ("efficiency", "--algorithm", "table"),
         ("cycles",),
         ("topo", "--metrics"),
@@ -209,6 +209,32 @@ def test_distance_profile_of_a_huge_ring_exits_one(capsys, argv):
     code, _, err = run(capsys, *argv, "--circulant", "1000000000000000000000000000000,1,3")
     assert code == 1
     assert err.startswith("error: n=1000000000000000000000000000000 ")
+
+
+def test_table_route_on_a_huge_ring_answers_from_the_scan(capsys):
+    # the route's legs come from the candidate scan, so no n-entry profile is built
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "route", "--algorithm", "table", "--circulant", "1000000000000000000000000000000,1,3",
+        "--src", "0", "--dst", "5",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "0 -> 1 -> 2 -> 5" in out and "hops = 3" in out
+
+
+@pytest.mark.parametrize("algorithm", ["adaptive", "table"])
+def test_scan_over_the_wrap_budget_exits_one(capsys, algorithm):
+    # C(10^12; 1, n/2 - 1) to n/4 needs about 1.25e11 wraps: refused before the first
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "route", "--algorithm", algorithm, "--max-cycles", "none",
+        "--circulant", "1000000000000,1,499999999999", "--src", "0", "--dst", "250000000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error: a scan of 250000000000 labels in C(1000000000000; 1, 499999999999) needs up to ")
+    assert err.endswith(f" ring wraps, above the budget of {routing.WRAP_BUDGET}\n")
 
 
 def test_compare_of_a_huge_side_exits_one(capsys):

@@ -17,7 +17,7 @@ from circnoc.harness import (
     square_sizes,
 )
 from circnoc.routing import AS_PRINTED, AdaptiveMode, RouterConfig, clockwise_hop_count, trace_route
-from circnoc.topology import CirculantSpec, GridSpec, search_best_ring_circulant
+from circnoc.topology import CirculantSpec, GridSpec, circulant_distance_profile, search_best_ring_circulant
 from oracles import ref_ring_profile
 
 
@@ -203,6 +203,13 @@ def test_fuzz_no_livelocks_smoke():
     report = fuzz_termination(FuzzConfig(seed=1, trials=400, n_max=120))
     assert report.livelock_count == 0
     assert report.trials == 400
+
+
+def test_fuzz_reads_no_distance_profile():
+    # table draws route from the candidate scan: no ring's profile is built
+    before = circulant_distance_profile.cache_info().misses
+    assert fuzz_termination(FuzzConfig(seed=1, trials=2000)).livelock_count == 0
+    assert circulant_distance_profile.cache_info().misses == before
 
 
 def test_fuzz_single_trial():

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +65,19 @@ def test_router_config_memo_is_not_a_field():
     assert cfg == fresh and hash(cfg) == hash(fresh)
     assert repr(cfg) == "RouterConfig(n=16, s1=1, s2=7)"
     assert cfg._asdict() == {"n": 16, "s1": 1, "s2": 7}
+
+
+def test_copied_or_pickled_router_config_starts_with_an_empty_memo():
+    # __reduce__ rebuilds through __new__, so the memo is neither saved nor shared
+    cfg = RouterConfig(1024, 1, 90)
+    fresh = len(pickle.dumps(cfg))
+    for dst in range(1, 1024):
+        trace_route("table", 0, dst, cfg)
+    assert len(cfg._memo["table"]) == 1023
+    assert len(pickle.dumps(cfg)) == fresh
+    clone = pickle.loads(pickle.dumps(cfg))
+    assert clone == cfg and clone._memo == {} and clone.port_steps == cfg.port_steps
+    assert copy.copy(cfg)._memo is not cfg._memo and copy.copy(cfg)._memo == {}
 
 
 def test_replaced_router_config_is_validated_and_routes():
@@ -486,15 +501,16 @@ def test_memoized_traces_follow_the_per_hop_helpers():
                     assert all((a + steps[p]) % n == b for a, b, p in zip(nodes, nodes[1:], trace.ports))
 
 
-def test_table_trace_reads_the_profile_once_and_a_warm_trace_never(monkeypatch):
+def test_table_trace_never_reads_the_profile(monkeypatch):
+    # a cold route comes from the candidate scan, a warm one from the memo
     calls = []
     monkeypatch.setattr(
         routing, "circulant_distance_profile", lambda n, gens: calls.append(n) or circulant_distance_profile(n, gens)
     )
     cfg = RouterConfig(100, 1, 18)
     cold = trace_route("table", 0, 57, cfg)
-    assert len(cold.ports) > 1 and calls == [100]
-    assert trace_route("table", 0, 57, cfg) == cold and calls == [100]
+    assert len(cold.ports) > 1 and calls == []
+    assert trace_route("table", 0, 57, cfg) == cold and calls == []
 
 
 def test_trace_livelock_bound_is_exact():
@@ -626,10 +642,21 @@ def test_long_cold_table_route_stores_one_legs_entry():
 @given(st.integers(min_value=5, max_value=3000), st.data())
 def test_table_trace_equals_a_lowest_port_walk(n, data):
     # s2 = 2 and s2 = (n - 1) // 2 give legs of hundreds of hops, where an
-    # off-by-one in the bisection for the first leg would show
+    # off-by-one in the first leg's count would show
     s2 = data.draw(st.sampled_from([2, (n - 1) // 2, None]))
     if s2 is None:
         s2 = data.draw(st.integers(min_value=2, max_value=(n - 1) // 2))
+    u = data.draw(st.integers(min_value=0, max_value=n - 1))
+    v = (u + data.draw(st.integers(min_value=1, max_value=n - 1))) % n
+    trace = trace_route("table", u, v, RouterConfig(n, 1, s2))
+    assert (trace.nodes, trace.ports) == ref_table_walk(u, v, n, s2), (n, s2, u, v)
+
+
+@given(st.integers(min_value=5, max_value=400), st.data())
+def test_table_trace_from_the_scan_equals_a_lowest_port_walk_on_wrapping_rings(n, data):
+    # with s2 above n / 4 shortest routes wrap the ring and tie across wraps,
+    # so the scan's tie set decides both legs
+    s2 = data.draw(st.integers(min_value=max(2, n // 4), max_value=(n - 1) // 2))
     u = data.draw(st.integers(min_value=0, max_value=n - 1))
     v = (u + data.draw(st.integers(min_value=1, max_value=n - 1))) % n
     trace = trace_route("table", u, v, RouterConfig(n, 1, s2))

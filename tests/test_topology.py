@@ -310,6 +310,8 @@ def test_ring_search_stops_at_the_floor_and_skips_multiplier_twins(monkeypatch):
     assert _best_ring(2025) == (197, _layer_floor(2025))
     assert max(t for t, _ in keyed) == 197
     assert max(bound for _, bound in keyed) <= _layer_floor(2025)[0] + 1  # the walk is capped at the floor
+    for t, bound in keyed:  # a t whose stride cannot reach node n // 2 within the bound is skipped
+        assert -(-(2025 // 2) // t) <= bound, (t, bound)
     for t, _ in keyed:
         if math.gcd(t, 2025) == 1:
             a = pow(t, -1, 2025)
