@@ -131,7 +131,8 @@ class AdaptiveMode(namedtuple("AdaptiveMode", "variant max_cycles", defaults=("c
     ``None`` sets no bound: each scan then stops only once no further wrap
     can improve, after about V·s2/n wraps for a route of V hops, which is
     O(n) per memo miss when s2 is near n/2; a scan whose wrap bound, read
-    from its unwrapped forms, exceeds ``WRAP_BUDGET`` is refused.
+    from the lesser unwrapped form of the two, exceeds ``WRAP_BUDGET`` is
+    refused.
 
     Under ``corrected``, with any ``max_cycles``, every hop lowers the
     router's scan value V(u, v) (see ``_adaptive_delta``) by at least one,
@@ -355,8 +356,8 @@ def clockwise_hop_count(src: int, dst: int, cfg: RouterConfig) -> int:
     return q + r
 
 
-def _check_wraps(base: int, best: int, n: int, s2: int) -> None:
-    """Refuse a scan from ``base`` whose wrap bound exceeds ``WRAP_BUDGET``.
+def _check_wraps(base: int, best: int, n: int, s2: int) -> int:
+    """The wrap bound of a scan from ``base``, refused above ``WRAP_BUDGET``.
 
     Wrap m goes on only while (base + m n) // s2 <= best, and the best only
     falls, so at most W0 = ((best + 1) s2 - 1 - base) // n wraps are walked.
@@ -367,6 +368,7 @@ def _check_wraps(base: int, best: int, n: int, s2: int) -> None:
             f"a scan of {base} labels in C({n}; 1, {s2}) needs up to {wraps} ring wraps, "
             f"above the budget of {WRAP_BUDGET}"
         )
+    return wraps
 
 
 def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int, int, bool]:
@@ -438,12 +440,23 @@ def _adaptive_run(d: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
     where the scans tie.  A long step leaves T and A two hops apart, so the
     decision is strict after one hop; along unit steps they can stay tied,
     so a unit run that starts at a tie is a seam run too.
+
+    With no wrap bound, both scans and their ``_check_wraps`` stop once q
+    exceeds min(T0, A0), the lesser unwrapped form: a toward candidate with
+    q > A0 costs more than A0 >= A, so it can neither win nor tie, and
+    likewise away.  So one scan stays exact, the other is exact or loses,
+    and a tie T == A <= min(T0, A0) leaves both exact.
     """
     n, s2, bound = cfg.n, cfg.s2, mode.max_cycles
     s = abs(d)
     printed = mode.variant == "printed"
-    toward, _, unit_toward = _scan(s, n, s2, bound)
-    away, _, unit_away = _scan(s + n if printed else n - s, n, s2, bound)
+    base = s + n if printed else n - s
+    toward_wraps = away_wraps = bound
+    if bound is None:
+        cap = min(_scan(s, n, s2, 0)[0], _scan(base, n, s2, 0)[0])
+        toward_wraps, away_wraps = _check_wraps(s, cap, n, s2), _check_wraps(base, cap, n, s2)
+    toward, _, unit_toward = _scan(s, n, s2, toward_wraps)
+    away, _, unit_away = _scan(base, n, s2, away_wraps)
     if toward < away:
         port, count = (0, s % s2) if unit_toward else (1, -(-s // s2))
     elif not unit_away:

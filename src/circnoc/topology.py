@@ -410,6 +410,38 @@ def _layer_floor(n: int) -> tuple[int, int]:
     return diameter, inner * (2 * diameter - 1) // 3 + diameter * (n - 1 - inner)
 
 
+def _ring_floor(n: int, t: int, bound: int) -> tuple[int, int]:
+    """A lower bound on the (diameter, total) of C(n; 1, t), in O(bound) steps.
+
+    The nodes within r hops are the image of the L1 ball B_r (2r^2 + 2r + 1
+    points) under (x, y) -> x + y t mod n.  For a lattice vector v = (x, j),
+    x + j t = 0 mod n, each point of B_r & (B_r + v) has the node of a point
+    of B_r that lies v below it, so at most |B_r| less that overlap lie
+    within r hops.  In u = x + y, w = x - y the overlap is a box of
+    (2r + 1 - lam) x (2r + 1 - c) points whose corners have even u + w,
+    lam = |x| + |j| and c = ||x| - |j||: ceil((2r + 1 - lam)(2r + 1 - c) / 2)
+    points, none once lam > 2r.  Filling each radius up to this cap, as
+    ``_layer_floor`` fills its layers, the diameter is at least the first r
+    whose cap reaches n (else bound + 1), and the total at least the sum of
+    n - cap(r) below it.  v is the L1-shortest (x, j) with 1 <= j <= bound.
+    """
+    lam = c = n
+    for j in range(1, bound + 1):
+        x = j * t % n
+        if x + x > n:
+            x = n - x
+        if x + j < lam or x + j == lam and abs(x - j) < c:
+            lam, c = x + j, abs(x - j)
+    total = 0
+    for r in range(bound + 1):
+        side = 2 * r + 1
+        cap = side * side // 2 + 1 - (max(side - lam, 0) * (side - c) + 1) // 2
+        if cap >= n:
+            return r, total
+        total += n - cap
+    return bound + 1, total
+
+
 @lru_cache(maxsize=None)
 def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
     """Second generatrix and (diameter, total distance) of the best C(n; 1, t).
@@ -417,21 +449,20 @@ def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
     The walk and its shortcuts are those of ``search_best_ring_circulant``.
     The twin of a unit t is ``min(a, n - a)`` with ``a = t**-1 mod n``:
     multiplying every label by a maps C(n; 1, t) onto C(n; a, 1) (Adam's
-    isomorphism), so the two have one key.  Every hop moves a label by at
-    most t, so node n // 2 is at least ``ceil((n // 2) / t)`` hops away; the
-    skip is strict, as the first bound ``(cap, inf)`` admits diameter cap.
+    isomorphism), so the two have one key.  A t whose ``_ring_floor`` is
+    not below the best key could at best tie; the first bound ``(cap, inf)``
+    still admits a ring of diameter cap.
     """
     floor = _layer_floor(n)
-    half = n // 2
-    for cap in (floor[0] + 1, half):
+    for cap in (floor[0] + 1, n // 2):
         best_t, best_key = 0, (cap, math.inf)
         for t in range(2, (n - 1) // 2 + 1):
-            if -(-half // t) > best_key[0]:
-                continue
             if math.gcd(t, n) == 1:
                 a = pow(t, -1, n)
                 if min(a, n - a) < t:
                     continue
+            if _ring_floor(n, t, best_key[0]) >= best_key:
+                continue
             key = _ring_key(n, t, best_key[0])
             if key < best_key:
                 best_t, best_key = t, key
@@ -458,12 +489,13 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
 
     No layer of a two-generatrix circulant holds more than 4d nodes at
     distance d, so no key is below ``_layer_floor(n)``, the key of 4d nodes
-    at each distance.  The walk stops once the best reaches that floor, and
-    it skips a unit s2 whose multiplier twin (``_best_ring``) comes earlier
-    and so has already shown the same key.  A skipped candidate could at
+    at each distance.  The walk stops once the best reaches that floor.  It
+    skips a unit s2 whose multiplier twin (``_best_ring``) comes earlier
+    and so has already shown the same key, and an s2 whose lattice floor
+    (``_ring_floor``), the same count sharpened by a short vector of its
+    own lattice, is not below the best key.  A skipped candidate could at
     best tie, and a tie never replaces the best, so the winner and its
-    tie-break are those of the full walk.  It also skips an s2 too short
-    to reach node n // 2 within the best diameter so far, which would lose.  The result depends on n alone,
+    tie-break are those of the full walk.  The result depends on n alone,
     so each n is searched once per process.  An n above ``sys.maxsize``
     raises ``ValidationError`` before any tent is laid.
     """

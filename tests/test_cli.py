@@ -237,6 +237,19 @@ def test_scan_over_the_wrap_budget_exits_one(capsys, algorithm):
     assert err.endswith(f" ring wraps, above the budget of {routing.WRAP_BUDGET}\n")
 
 
+def test_unbounded_adaptive_scan_is_capped_by_the_lesser_unwrapped_form(capsys):
+    # the away scan's own form allows about 8e10 wraps, but the toward form
+    # (3 hops) caps both scans, so the short route answers at once
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "route", "--algorithm", "adaptive", "--max-cycles", "none",
+        "--circulant", "1000000000000,1,400000000001", "--src", "0", "--dst", "200000000003",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "0 -> 400000000001 -> 800000000002 -> 200000000003" in out and "hops = 3" in out
+
+
 def test_compare_of_a_huge_side_exits_one(capsys):
     code, _, err = run(capsys, "compare", "--sides", str(10**30), "--selection", "formula_eq1")
     assert code == 1

@@ -22,7 +22,7 @@ from circnoc.topology import (
     search_best_circulant2,
     search_best_ring_circulant,
 )
-from circnoc.topology import _best_ring, _layer_floor, _pair_key, _ring_key
+from circnoc.topology import _best_ring, _layer_floor, _pair_key, _ring_floor, _ring_key
 from oracles import (
     ref_bfs,
     ref_metrics,
@@ -308,9 +308,10 @@ def test_ring_search_stops_at_the_floor_and_skips_multiplier_twins(monkeypatch):
     monkeypatch.setattr(topology, "_ring_key", lambda n, t, bound: keyed.append((t, bound)) or ring_key(n, t, bound))
     _best_ring.cache_clear()
     assert _best_ring(2025) == (197, _layer_floor(2025))
+    assert len(keyed) == 36  # the lattice floor rules out 147 of the 183 t it reaches
     assert max(t for t, _ in keyed) == 197
     assert max(bound for _, bound in keyed) <= _layer_floor(2025)[0] + 1  # the walk is capped at the floor
-    for t, bound in keyed:  # a t whose stride cannot reach node n // 2 within the bound is skipped
+    for t, bound in keyed:  # the floor's case j = 1: a stride too short to reach n // 2 is skipped
         assert -(-(2025 // 2) // t) <= bound, (t, bound)
     for t, _ in keyed:
         if math.gcd(t, 2025) == 1:
@@ -326,6 +327,66 @@ def test_ring_search_walks_again_when_no_ring_comes_within_the_cap(monkeypatch):
     monkeypatch.setattr(topology, "_layer_floor", lambda n: (1, 0))
     for n, best in expected.items():
         assert _best_ring.__wrapped__(n) == best
+
+
+def _ball(r):
+    return {(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if abs(x) + abs(y) <= r}
+
+
+def test_ring_floor_overlap_count_matches_brute_force():
+    # |B_r & (B_r + v)| for v = (x, j): a box of equal-parity points in
+    # u = x + y, w = x - y, as the docstring of _ring_floor counts it
+    for r in range(9):
+        ball = _ball(r)
+        assert len(ball) == 2 * r * r + 2 * r + 1
+        side = 2 * r + 1
+        for x in range(-20, 21):
+            for j in range(-20, 21):
+                lam, c = abs(x) + abs(j), abs(abs(x) - abs(j))
+                count = ((side - lam) * (side - c) + 1) // 2 if lam < side else 0
+                assert count == sum((p - x, q - j) in ball for p, q in ball), (r, x, j)
+
+
+def test_ring_floor_is_below_the_ring_key():
+    # at and below the diameter: the walk calls it with any bound
+    for n in range(5, 121):
+        for t in ring_s2_values(n):
+            key = _ring_key(n, t, n)
+            for bound in range(key[0] + 1):
+                assert _ring_floor(n, t, bound) <= key, (n, t, bound)
+
+
+def test_ring_walk_pruned_by_the_floor_matches_the_walk_without_it(monkeypatch):
+    pruned = {n: _best_ring.__wrapped__(n) for n in range(5, 401)}
+    second = {}
+    with monkeypatch.context() as patch:  # the second walk, from n // 2
+        patch.setattr(topology, "_layer_floor", lambda n: (1, 0))
+        for n in (37, 100, 144, 150, 400):
+            second[n] = _best_ring.__wrapped__(n)
+            assert second[n] == pruned[n], n
+    monkeypatch.setattr(topology, "_ring_floor", lambda n, t, bound: (0, 0))
+    for n, best in pruned.items():
+        assert _best_ring.__wrapped__(n) == best, n
+    monkeypatch.setattr(topology, "_layer_floor", lambda n: (1, 0))
+    for n, best in second.items():
+        assert _best_ring.__wrapped__(n) == best, n
+
+
+PAPER_SWEEPS = sorted(set(range(5, 201)) | {side * side for side in range(3, 24)})
+
+
+def test_general_winner_meets_the_layer_floor():
+    for n in range(5, 301):
+        profile = circulant_distance_profile(n, search_best_circulant2(n).generatrices)
+        assert (max(profile), sum(profile)) == _layer_floor(n), n
+
+
+def test_best_ring_misses_the_layer_floor_at_21_sweep_sizes():
+    missed = [n for n in PAPER_SWEEPS if _best_ring(n)[1] != _layer_floor(n)]
+    assert missed == [
+        12, 24, 30, 40, 60, 70, 84, 112, 126, 132, 138, 144,
+        150, 165, 174, 180, 186, 192, 198, 400, 441,
+    ]
 
 
 def test_general_search_keys_no_pair_once_the_ring_meets_the_floor(monkeypatch):
