@@ -44,7 +44,6 @@ from .routing import (
     RouterConfig,
     RoutingTable,
     build_routing_table,
-    clockwise_hop_count,
     payload_bits,
     route_runs,
     trace_route,

@@ -24,9 +24,10 @@ from .routing import (
     RouteTrace,
     RouterConfig,
     _check_node,
+    _check_wraps,
     _scan,
     payload_bits,
-    trace_route,
+    route_runs,
 )
 from .topology import circulant_distance_profile
 
@@ -103,16 +104,17 @@ def efficiency_k(
     """Efficiency criterion K = (algorithm hops) / (shortest-path hops).
 
     Both totals sum routes from ``source`` to every other node.  The
-    shortest-path side is the sum of the cached distance profile from node
-    0: circulants are vertex-transitive, so every source has the same
-    distance multiset and the same total.
+    algorithm side sums the run counts of each route (``route_runs``), so
+    no node is listed.  The shortest-path side is the sum of the cached
+    distance profile from node 0: circulants are vertex-transitive, so
+    every source has the same distance multiset and the same total.
     """
     _check_node(source, cfg.n, "source")
     hops_oracle = sum(circulant_distance_profile(cfg.n, (cfg.s1, cfg.s2)))
     hops_algorithm = 0
     for dest in range(cfg.n):
         if dest != source:
-            hops_algorithm += trace_route(algorithm, source, dest, cfg, mode).hops
+            hops_algorithm += sum(route_runs(algorithm, source, dest, cfg, mode)[1::2])
     return EfficiencyReport(
         k=hops_algorithm / hops_oracle,
         hops_algorithm=hops_algorithm,
@@ -142,7 +144,8 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     the fewest wraps at which a direction reaches d wins.  Offsets k and
     n - k scan the same two bases with the same d, so only the offsets
     1 .. n // 2 are scanned and the rest mirror them, as in
-    ``circulant_distance_profile``.
+    ``circulant_distance_profile``.  Each scan is bounded by its wrap bound
+    from ``_check_wraps``, which refuses one above ``WRAP_BUDGET``.
     """
     n, s2 = cfg.n, cfg.s2
     profile = circulant_distance_profile(n, (cfg.s1, s2))
@@ -151,7 +154,7 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
         d = profile[offset]
         reaching = []
         for base in (offset, n - offset):
-            hops, wraps, _ = _scan(base, n, s2, ((d + 1) * s2 - 1 - base) // n)
+            hops, wraps, _ = _scan(base, n, s2, _check_wraps(base, d, n, s2))
             if hops == d:
                 reaching.append(wraps)
         per[offset] = min(reaching)

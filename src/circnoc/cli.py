@@ -8,10 +8,9 @@ the printed adaptive variant can; the error names the cycle); 2 an
 unexpected exception (its traceback is printed), and ``fuzz`` when it
 finds a livelock.  ``table``, ``efficiency``, ``cycles`` and ``topo
 --metrics`` read an n-entry distance profile, and ``route`` lists all of
-a route's hops,
-counted from its runs first, so a ring or a route too large to allocate
-exits 1, and so does a route whose candidate scan could walk more ring
-wraps than its budget.
+a route's hops, counted from its runs first, so a ring or a route too
+large to allocate exits 1, and so does a route or a ``cycles`` report
+whose candidate scan could walk more ring wraps than its budget.
 """
 
 from __future__ import annotations

@@ -45,17 +45,16 @@ __all__ = [
     "RouteTrace",
     "payload_bits",
     "build_routing_table",
-    "clockwise_hop_count",
     "route_runs",
     "trace_route",
 ]
 
 ALGORITHMS = ("table", "clockwise", "adaptive")
-# The most ring wraps a table scan or an unbounded adaptive scan may walk
-# (``_check_wraps``).  A table route's wrap bound is below n / 8 + 1, so
-# no n <= 4e7 is refused, and a BFS distance profile of C(1e7; 1, 5e6)
-# took 3.0 s and 435 MB; at the budget the scan walks about 7 s (1.5 us
-# per wrap in both directions; 2 shared cores, Python 3.11.7).
+# The most ring wraps a table, unbounded adaptive or ``cycle_report`` scan
+# may walk (``_check_wraps``).  A table route's wrap bound is below n/8 + 1,
+# so no n <= 4e7 is refused, and a BFS distance profile of C(1e7; 1, 5e6)
+# took 3.0 s and 435 MB; at the budget the scan walks about 7 s (1.5 us per
+# wrap in both directions; 2 shared cores, Python 3.11.7).
 WRAP_BUDGET = 5_000_000
 ADAPTIVE_VARIANTS = ("printed", "corrected")
 
@@ -135,7 +134,7 @@ class AdaptiveMode(namedtuple("AdaptiveMode", "variant max_cycles", defaults=("c
     refused.
 
     Under ``corrected``, with any ``max_cycles``, every hop lowers the
-    router's scan value V(u, v) (see ``_adaptive_delta``) by at least one,
+    router's scan value V(u, v) (see ``_adaptive_run``) by at least one,
     so a route from u to v takes at most V(u, v) hops and never livelocks.
     With no bound V is the exact distance, so every corrected route is
     shortest.  The ``printed`` seed S + n is no real counter-clockwise
@@ -348,14 +347,6 @@ def _clockwise_legs(s: int, cfg: RouterConfig) -> tuple[int, int, int, int]:
     return (3, q, 2, r) if backward else (1, q, 0, r)
 
 
-def clockwise_hop_count(src: int, dst: int, cfg: RouterConfig) -> int:
-    """Closed-form clockwise route length, q + r (see ``_clockwise_legs``)."""
-    _check_node(src, cfg.n, "src")
-    _check_node(dst, cfg.n, "dst")
-    _, q, _, r = _clockwise_legs((dst - src) % cfg.n, cfg)
-    return q + r
-
-
 def _check_wraps(base: int, best: int, n: int, s2: int) -> int:
     """The wrap bound of a scan from ``base``, refused above ``WRAP_BUDGET``.
 
@@ -371,7 +362,7 @@ def _check_wraps(base: int, best: int, n: int, s2: int) -> int:
     return wraps
 
 
-def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int, int, bool]:
+def _scan(base: int, n: int, s2: int, max_wraps: int) -> tuple[int, int, bool]:
     """Adaptive candidate scan of one travel direction covering ``base``.
 
     With q, r = divmod(target, s2), a displacement ``target`` is covered
@@ -382,20 +373,17 @@ def _scan(base: int, n: int, s2: int, max_wraps: int | None = None) -> tuple[int
     Follows the scan order of the hardware description: the unwrapped pair
     first (a winning remainder route starts with the unit generatrix),
     then both forms for each extra ring wrap m = 1, 2, ..., replacing the
-    best only on strict improvement.  Wraps stop after ``max_wraps`` (no
-    bound when None) or once ``q = (base + m*n) // s2`` exceeds the best,
-    whichever comes first: both forms of wrap m take at least q hops, and
-    q grows with m, so no later wrap can improve.  Without a bound the
-    result is exact, and a scan that could walk more than ``WRAP_BUDGET``
-    wraps raises ``ValidationError`` before the first (``_check_wraps``).
-    Returns (hops, wraps, unit step first).
+    best only on strict improvement.  Wraps stop after ``max_wraps`` or
+    once ``q = (base + m*n) // s2`` exceeds the best, whichever comes
+    first: both forms of wrap m take at least q hops, and q grows with m,
+    so no later wrap can improve.  A ``max_wraps`` of at least the wrap
+    bound from ``_check_wraps`` makes the result exact.  Returns (hops,
+    wraps, unit step first).
     """
     q, r = divmod(base, s2)
     best = q + r if 2 * r <= s2 else q - r + s2 + 1
-    if max_wraps is None:
-        _check_wraps(base, best, n, s2)
     wraps, unit, m = 0, 0 < r and 2 * r <= s2, 1
-    while (max_wraps is None or m <= max_wraps) and (base + m * n) // s2 <= best:
+    while m <= max_wraps and (base + m * n) // s2 <= best:
         q, r = divmod(base + m * n, s2)
         hops = q + r if 2 * r <= s2 else q - r + s2 + 1
         if hops < best:
@@ -413,6 +401,14 @@ def _adaptive_run(d: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
     rule's: with S = |d|, the toward scan T covers S, the away scan A covers
     n - S (corrected) or S + n (printed); T < A steps toward dest, anything
     else away, and the sign of d mirrors the step.
+
+    Lemma (corrected variant, any ``max_cycles``): let V(u, v) = min(T, A),
+    with V(v, v) = 0.  Then every hop has V(next, v) <= V(u, v) - 1.  The
+    step is the first hop of a candidate route that achieves V.  What
+    remains of that route is a candidate of the next node with no more
+    wraps: the same form with one long or one unit step fewer, or, after
+    an overshoot without a wrap, the unit-step form of the other direction.
+    The next scan finds it or a better one.
 
     A candidate covering b labels takes f(b) = b // s2 + min(r, s2 + 1 - r)
     hops, r = b % s2, and a scan's value is the least f over b + m*n.  Then
@@ -467,29 +463,6 @@ def _adaptive_run(d: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
     return count << 3 | seam << 2 | (port ^ 2 if d < 0 else port)
 
 
-def _adaptive_delta(current: int, dest: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
-    """Adaptive routing rule: the signed step from current toward dest != current.
-
-    The scan runs on the positive label difference S = |dest - current|:
-    clockwise candidates grow from S, counter-clockwise ones from n - S
-    (or S + n in printed mode), each extended by full wraps up to
-    ``mode.max_cycles``.  A clockwise win gives +s1/+s2, otherwise the
-    step is negative; ties go counter-clockwise.  The sign is mirrored
-    when dest lies below current.  This is the first hop of
-    ``_adaptive_run``, which decides it once for the whole run; routing
-    reads runs, and this per-hop form is kept as the rule the tests walk.
-
-    Lemma (corrected variant, any ``max_cycles``): let V(u, v) be the
-    smaller of the two scan values, with V(v, v) = 0.  Then every hop has
-    V(next, v) <= V(u, v) - 1.  The step is the first hop of a candidate
-    route that achieves V.  What remains of that route is a candidate of
-    the next node with no more wraps: the same form with one long or one
-    unit step fewer, or, after an overshoot without a wrap, the unit-step
-    form of the other direction.  The next scan finds it or a better one.
-    """
-    return cfg.port_steps[_adaptive_run(dest - current, cfg, mode) & 3]
-
-
 def _adaptive_runs(src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode) -> tuple[int, ...]:
     """The adaptive route from src to dst as flat (port, count) runs.
 
@@ -499,7 +472,7 @@ def _adaptive_runs(src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode) ->
     run of the route, so two in a row can share a port (a long run that
     passes dst and goes on, or a seam run cut at label 0, followed by
     another of the same port).  A corrected walk arrives within
-    V(src, dst) hops (``_adaptive_delta``'s lemma).  A printed walk can
+    V(src, dst) hops (``_adaptive_run``'s lemma).  A printed walk can
     livelock: the router picks its next hop from (current, dst) alone, and
     so the next run too, so a walk that starts a run at a node twice
     repeats forever.  ``LivelockError`` then names the cycle, from the

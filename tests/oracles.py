@@ -2,14 +2,17 @@
 
 Everything here is deliberately written from scratch (plain BFS and
 brute-force dynamic programming) so package results are checked against
-a second, unrelated code path.  ``ref_adaptive_walk`` reuses the
-package's adaptive rule ``_adaptive_delta`` on purpose: it checks how
-routes are followed and stopped, not how each step is chosen.
+a second, unrelated code path.  The one exception is ``_adaptive_delta``,
+the package's adaptive rule read one hop at a time from its run
+(``circnoc.routing._adaptive_run``); ``ref_adaptive_delta`` checks it
+against scans written from scratch, and ``ref_adaptive_walk`` follows it
+on purpose, to check how routes are followed and stopped, not how each
+step is chosen.
 """
 
 from collections import deque
 
-from circnoc.routing import _adaptive_delta
+from circnoc.routing import _adaptive_run
 
 
 def ref_bfs(neighbors, src):
@@ -177,6 +180,20 @@ def _ref_directional_best(base, n, s2, max_cycles):
         if second < best:
             best, unit = second, False
     return best, unit
+
+
+def _adaptive_delta(current, dest, cfg, mode):
+    """Adaptive routing rule: the signed step from current toward dest != current.
+
+    The scan runs on the positive label difference S = |dest - current|:
+    clockwise candidates grow from S, counter-clockwise ones from n - S
+    (or S + n in printed mode), each extended by full wraps up to
+    ``mode.max_cycles``.  A clockwise win gives +s1/+s2, otherwise the
+    step is negative; ties go counter-clockwise.  The sign is mirrored
+    when dest lies below current.  This is the first hop of the package's
+    ``_adaptive_run``, which decides it once for the whole run.
+    """
+    return cfg.port_steps[_adaptive_run(dest - current, cfg, mode) & 3]
 
 
 def ref_adaptive_delta(start, end, cfg, mode):

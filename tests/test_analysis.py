@@ -22,9 +22,10 @@ from circnoc.analysis import (
     route_cycle_count,
     table_memory_bits,
 )
-from circnoc.errors import ValidationError
-from circnoc.routing import AdaptiveMode, RouterConfig, trace_route
-from oracles import dp_min_wraps, ref_chip_capacity, ref_ring_profile
+from circnoc import routing
+from circnoc.errors import LivelockError, ValidationError
+from circnoc.routing import AS_PRINTED, CORRECTED, AdaptiveMode, RouterConfig, trace_route
+from oracles import dp_min_wraps, ref_chip_capacity, ref_ring_profile, ring_s2_values
 
 C8 = RouterConfig(8, 1, 3)
 C16 = RouterConfig(16, 1, 7)
@@ -75,6 +76,43 @@ def test_efficiency_at_least_one(n, data):
     assert report.k >= 1.0
 
 
+def test_efficiency_counts_the_hops_of_traced_routes():
+    # K's algorithm side sums run counts; it must equal the traced hops,
+    # and a printed livelock must raise the error that tracing raises
+    cases = [("table", CORRECTED), ("clockwise", CORRECTED), ("adaptive", CORRECTED),
+             ("adaptive", AS_PRINTED)]
+    livelocks = 0
+    for n in range(5, 31):
+        for s2 in ring_s2_values(n):
+            for source in {0, n // 3}:
+                for algorithm, mode in cases:
+                    traced_cfg = RouterConfig(n, 1, s2)
+                    try:
+                        traced = sum(
+                            trace_route(algorithm, source, dest, traced_cfg, mode).hops
+                            for dest in range(n) if dest != source
+                        )
+                    except LivelockError as error:
+                        with pytest.raises(LivelockError) as caught:
+                            efficiency_k(RouterConfig(n, 1, s2), algorithm, mode, source)
+                        assert str(caught.value) == str(error)
+                        assert caught.value.cycle == error.cycle
+                        livelocks += 1
+                        continue
+                    report = efficiency_k(RouterConfig(n, 1, s2), algorithm, mode, source)
+                    assert report.hops_algorithm == traced, (n, s2, source, algorithm, mode)
+    assert livelocks > 0
+
+
+def test_efficiency_lists_no_node(monkeypatch):
+    def no_node_lists(*args):
+        raise AssertionError("efficiency_k listed a route's nodes")
+
+    monkeypatch.setattr(routing, "_route_nodes", no_node_lists)
+    for algorithm in ("table", "clockwise", "adaptive"):
+        assert efficiency_k(C100, algorithm).k >= 1.0
+
+
 # --- wrap counting --------------------------------------------------------------
 
 def test_route_cycle_count_two_wrap_route():
@@ -104,6 +142,12 @@ def test_cycle_report_matches_dp_oracle():
             assert report.per_destination == tuple(dp_min_wraps(n, s2)), (n, s2)
             assert report.max_cycles == max(report.per_destination)
             assert report.n == n and report.s2 == s2
+
+
+def test_cycle_report_refuses_a_wrap_bound_over_the_budget(monkeypatch):
+    monkeypatch.setattr(routing, "WRAP_BUDGET", 0)
+    with pytest.raises(ValidationError, match="ring wraps, above the budget of 0"):
+        cycle_report(RouterConfig(100, 1, 44))
 
 
 def test_realized_adaptive_wraps_bound_arithmetic_minimum():

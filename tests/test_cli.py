@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -581,3 +583,21 @@ def test_runtime_imports_only_the_standard_library():
     assert outside_stdlib == "[]"
     # value types are tuples: the import needs neither dataclasses nor inspect
     assert heavy == "[]"
+
+
+def test_exports_resolve_and_the_package_imports_only_exported_names():
+    # the package namespace re-exports names from its modules; each must
+    # exist and be listed in its module's __all__ (errors has none)
+    modules = {name: importlib.import_module(f"circnoc.{name}")
+               for name in ("topology", "routing", "analysis", "harness", "cli")}
+    for name, module in modules.items():
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert missing == [], name
+    init = Path(__file__).resolve().parents[1] / "src" / "circnoc" / "__init__.py"
+    imported = 0
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.module != "errors":
+            public = [alias.name for alias in node.names if not alias.name.startswith("_")]
+            assert set(public) <= set(modules[node.module].__all__), node.module
+            imported += len(public)
+    assert imported > 40

@@ -16,7 +16,7 @@ from circnoc.harness import (
     run_experiment,
     square_sizes,
 )
-from circnoc.routing import AS_PRINTED, AdaptiveMode, RouterConfig, clockwise_hop_count, trace_route
+from circnoc.routing import AS_PRINTED, AdaptiveMode, RouterConfig, route_runs, trace_route
 from circnoc.topology import CirculantSpec, GridSpec, circulant_distance_profile, search_best_ring_circulant
 from oracles import ref_ring_profile
 
@@ -105,7 +105,7 @@ def test_efficiency_figure_k_one_exactly_where_clockwise_is_shortest():
         cfg = RouterConfig.from_spec(search_best_ring_circulant(n))
         profile = ref_ring_profile(cfg.n, cfg.s2)
         optimal_everywhere = all(
-            clockwise_hop_count(0, dst, cfg) == profile[dst] for dst in range(1, n)
+            sum(route_runs("clockwise", 0, dst, cfg)[1::2]) == profile[dst] for dst in range(1, n)
         )
         assert by_n[n] >= 1.0
         assert (by_n[n] == 1.0) == optimal_everywhere

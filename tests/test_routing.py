@@ -19,13 +19,14 @@ from circnoc.routing import (
     AdaptiveMode,
     RouterConfig,
     build_routing_table,
-    clockwise_hop_count,
     payload_bits,
+    route_runs,
     trace_route,
 )
-from circnoc.routing import _adaptive_delta, _clockwise_delta, _scan, _shortest_port
+from circnoc.routing import _clockwise_delta, _scan, _shortest_port
 from circnoc.topology import CirculantSpec, circulant_distance_profile
 from oracles import (
+    _adaptive_delta,
     ref_adaptive_delta,
     ref_adaptive_walk,
     ref_bfs,
@@ -226,7 +227,7 @@ def test_clockwise_matches_closed_form_and_oracle():
             for dst in range(1, n):
                 hops = trace_route("clockwise", 0, dst, cfg).hops
                 s = dst if 2 * dst <= n else n - dst
-                assert hops == s // s2 + s % s2 == clockwise_hop_count(0, dst, cfg)
+                assert hops == s // s2 + s % s2 == sum(route_runs("clockwise", 0, dst, cfg)[1::2])
                 assert hops >= profile[dst]
 
 
@@ -374,7 +375,8 @@ def test_corrected_step_agrees_across_the_seam_unless_the_scans_tie():
             for s2 in ring_s2_values(n):
                 cfg = RouterConfig(n, 1, s2)
                 for d in range(1, n):
-                    tie = _scan(d, n, s2, max_cycles)[0] == _scan(n - d, n, s2, max_cycles)[0]
+                    wraps = max_cycles or n
+                    tie = _scan(d, n, s2, wraps)[0] == _scan(n - d, n, s2, wraps)[0]
                     differ = _adaptive_delta(0, d, cfg, mode) != _adaptive_delta(n - d, 0, cfg, mode)
                     assert differ == tie, (n, s2, d, max_cycles)
                     cases += 1
@@ -579,7 +581,7 @@ def test_candidate_enumeration_reaches_bfs_distance():
     for n, s2 in [(8, 3), (16, 7), (30, 7), (45, 22), (100, 44)]:
         profile = ref_ring_profile(n, s2)
         for offset in range(1, n):
-            exact = min(_scan(b, n, s2)[0] for b in (offset, n - offset))
+            exact = min(_scan(b, n, s2, n)[0] for b in (offset, n - offset))
             assert exact == profile[offset]
             bounded = min(_scan(b, n, s2, 4)[0] for b in (offset, n - offset))
             assert bounded >= exact

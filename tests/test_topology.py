@@ -490,7 +490,7 @@ def test_diameter_matches_candidate_enumeration():
     for n in range(5, 201, 3):
         for s2 in ring_s2_values(n):
             profile = circulant_distance_profile(n, (1, s2))
-            arith = max(min(_scan(s, n, s2)[0], _scan(n - s, n, s2)[0]) for s in range(1, n))
+            arith = max(min(_scan(s, n, s2, n)[0], _scan(n - s, n, s2, n)[0]) for s in range(1, n))
             assert arith == max(profile), (n, s2)
 
 
