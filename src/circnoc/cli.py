@@ -10,7 +10,8 @@ finds a livelock.  ``table``, ``efficiency``, ``cycles`` and ``topo
 --metrics`` read an n-entry distance profile, and ``route`` lists all of
 a route's hops, counted from its runs first, so a ring or a route too
 large to allocate exits 1, and so does a route or a ``cycles`` report
-whose candidate scan could walk more ring wraps than its budget.
+whose candidate scan could walk more ring wraps than its budget, or a
+best-ring search above ``topology.RING_BUDGET`` nodes.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ export them.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
@@ -35,6 +34,11 @@ __all__ = [
     "graph_to_edge_csv",
     "format_metrics_csv",
 ]
+
+# The largest n a ring search walks, as ``routing.WRAP_BUDGET`` bounds a
+# scan.  The walk is O(n log n): at n = 10**6 - 3 .. 10**6 it took 0.6-1.8 s,
+# and ``compare --sides 1000`` about 2 s (2 shared cores, Python 3.11.7).
+RING_BUDGET = 1_000_000
 
 
 class CirculantSpec(namedtuple("CirculantSpec", "n generatrices")):
@@ -410,8 +414,26 @@ def _layer_floor(n: int) -> tuple[int, int]:
     return diameter, inner * (2 * diameter - 1) // 3 + diameter * (n - 1 - inner)
 
 
+def _short_vector(n: int, t: int) -> tuple[int, int]:
+    """(|x| + |j|, ||x| - |j||) of an L1-shortest (x, j), x + j t = 0 mod n.
+
+    The shortest with least j > 0 is a best approximation of t / n (a
+    smaller j with j t as near a multiple of n would be shorter), so j is a
+    convergent's denominator (Lagrange) and |x| its remainder in the
+    Euclidean algorithm on (n, t).  Ties keep the least ||x| - |j||.
+    """
+    lam, c = t + 1, t - 1
+    x, y, j, k = n, t, 0, 1
+    while y and k < lam:
+        q = x // y
+        x, y, j, k = y, x - q * y, k, j + q * k
+        if y + k < lam or y + k == lam and abs(y - k) < c:
+            lam, c = y + k, abs(y - k)
+    return lam, c
+
+
 def _ring_floor(n: int, t: int, bound: int) -> tuple[int, int]:
-    """A lower bound on the (diameter, total) of C(n; 1, t), in O(bound) steps.
+    """A lower bound on the (diameter, total) of C(n; 1, t), in O(log n) steps.
 
     The nodes within r hops are the image of the L1 ball B_r (2r^2 + 2r + 1
     points) under (x, y) -> x + y t mod n.  For a lattice vector v = (x, j),
@@ -423,23 +445,22 @@ def _ring_floor(n: int, t: int, bound: int) -> tuple[int, int]:
     points, none once lam > 2r.  Filling each radius up to this cap, as
     ``_layer_floor`` fills its layers, the diameter is at least the first r
     whose cap reaches n (else bound + 1), and the total at least the sum of
-    n - cap(r) below it.  v is the L1-shortest (x, j) with 1 <= j <= bound.
+    n - cap(r) below it, for v from ``_short_vector``.  Up to the radius
+    (lam - 1) // 2, cap(r) = 2r^2 + 2r + 1 reaches n, if there, at the layer
+    floor's diameter, and sums to a (2a^2 + 1) / 3 over r < a.  Above it the
+    squares cancel (lam = c mod 2): cap(r) = ((lam + c)(2r + 1) - drop) / 2
+    with drop = lam c - lam % 2 is linear in r, so its first r is a ceiling.
     """
-    lam = c = n
-    for j in range(1, bound + 1):
-        x = j * t % n
-        if x + x > n:
-            x = n - x
-        if x + j < lam or x + j == lam and abs(x - j) < c:
-            lam, c = x + j, abs(x - j)
-    total = 0
-    for r in range(bound + 1):
-        side = 2 * r + 1
-        cap = side * side // 2 + 1 - (max(side - lam, 0) * (side - c) + 1) // 2
-        if cap >= n:
-            return r, total
-        total += n - cap
-    return bound + 1, total
+    lam, c = _short_vector(n, t)
+    r = (lam - 1) // 2
+    drop = lam * c - lam % 2
+    if 2 * r * (r + 1) + 1 >= n:
+        d = _layer_floor(n)[0]
+    else:
+        d = max(r + 1, -(-(2 * n + drop) // (lam + c)) // 2)
+    d = min(d, bound + 1)
+    a = min(d, r + 1)
+    return d, d * n - a * (2 * a * a + 1) // 3 - (d - a) * ((lam + c) * (d + a) - drop) // 2
 
 
 @lru_cache(maxsize=None)
@@ -451,7 +472,8 @@ def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
     multiplying every label by a maps C(n; 1, t) onto C(n; a, 1) (Adam's
     isomorphism), so the two have one key.  A t whose ``_ring_floor`` is
     not below the best key could at best tie; the first bound ``(cap, inf)``
-    still admits a ring of diameter cap.
+    still admits a ring of diameter cap.  A skipped t costs O(log n) steps,
+    so the walk is O(n log n) besides the tents of the t it keys.
     """
     floor = _layer_floor(n)
     for cap in (floor[0] + 1, n // 2):
@@ -478,30 +500,26 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
     Minimizes (diameter, average distance) lexicographically over
     s2 in [2, ceil(n/2) - 1]; ties go to the smallest s2.  Each candidate's
     key is the lower envelope of its tents (``_ring_key``) laid up to the
-    best diameter found so far.  A candidate within the bound gets its
-    exact key; one beyond it gets a diameter above the bound, so it loses
-    to the best as it should.  The walk goes over s2 in increasing order
-    and replaces the best only on a strict improvement.  The bound starts
-    one above the layer floor's diameter (below), so no candidate lays
-    more tents than that.  Only if no ring comes within it, which happens
-    at no n = 5..1499, is the walk run again from the bare ring's
-    diameter n // 2, which no C(n; 1, s2) exceeds.
+    best diameter found so far, so one beyond that bound loses as it
+    should.  The walk (``_best_ring``) goes over s2 in increasing order and
+    replaces the best only on a strict improvement.  The bound starts one
+    above the layer floor's diameter; only if no ring comes within it,
+    which happens at no n = 5..1499, is the walk run again from the bare
+    ring's diameter n // 2, which no C(n; 1, s2) exceeds.
 
-    No layer of a two-generatrix circulant holds more than 4d nodes at
-    distance d, so no key is below ``_layer_floor(n)``, the key of 4d nodes
-    at each distance.  The walk stops once the best reaches that floor.  It
-    skips a unit s2 whose multiplier twin (``_best_ring``) comes earlier
-    and so has already shown the same key, and an s2 whose lattice floor
-    (``_ring_floor``), the same count sharpened by a short vector of its
-    own lattice, is not below the best key.  A skipped candidate could at
-    best tie, and a tie never replaces the best, so the winner and its
-    tie-break are those of the full walk.  The result depends on n alone,
-    so each n is searched once per process.  An n above ``sys.maxsize``
-    raises ``ValidationError`` before any tent is laid.
+    No key is below ``_layer_floor(n)`` (no layer holds more than 4d nodes
+    at distance d), and the walk stops once the best reaches it.  It skips
+    a unit s2 whose multiplier twin comes earlier, and an s2 whose lattice
+    floor (``_ring_floor``, that count sharpened by the shortest vector of
+    its own lattice) is not below the best key.  Such a candidate could at
+    best tie, so the winner and its tie-break are those of the full walk.
+    The result depends on n alone, so each n is searched once per process.
+    An n above ``RING_BUDGET`` raises ``ValidationError`` before any tent
+    is laid.
     """
     if n < 5:
         raise ValidationError(f"no valid second generatrix for n={n}; need n >= 5")
-    if n > sys.maxsize:
+    if n > RING_BUDGET:
         raise ValidationError(f"n={n} is too large for an n-entry ring search")
     return CirculantSpec(n, (1, _best_ring(n)[0]))
 

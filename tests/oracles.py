@@ -155,6 +155,23 @@ def dp_min_wraps(n, s2):
     return [min(abs(d) // n for d in disp_sets[v]) if v else 0 for v in range(n)]
 
 
+def ref_ring_fill(n, lam, c, bound):
+    """(diameter, total) of radii filled greedily up to the lattice cap.
+
+    The cap of radius r is |B_r| less ceil((2r + 1 - lam)(2r + 1 - c) / 2)
+    once 2r + 1 > lam, as ``circnoc.topology._ring_floor`` counts it; the
+    radii are walked one at a time up to ``bound`` (else bound + 1).
+    """
+    total = 0
+    for r in range(bound + 1):
+        side = 2 * r + 1
+        cap = side * side // 2 + 1 - (max(side - lam, 0) * (side - c) + 1) // 2
+        if cap >= n:
+            return r, total
+        total += n - cap
+    return bound + 1, total
+
+
 def ring_s2_values(n):
     """All second generatrices valid for routing in an n-node ring circulant."""
     return range(2, (n - 1) // 2 + 1)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from circnoc import routing
+from circnoc import routing, topology
 from circnoc.analysis import DEFAULT_RESOURCE_MODEL, chip_capacity
 from circnoc.cli import main
 from circnoc.harness import ExperimentConfig, run_experiment
@@ -271,6 +271,23 @@ def test_ring_search_too_large_to_exist_exits_one(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert err == f"error: n={10**30} is too large for an n-entry ring search\n"
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (("compare", "--sides", "3000"), 9 * 10**6),
+        (("compare", "--sides", "100000"), 10**10),
+        (("figure", "--id", "cycles", "--values", str(10**10)), 10**10),
+    ],
+)
+def test_ring_search_over_the_budget_exits_one(capsys, argv, n):
+    assert n > topology.RING_BUDGET >= 1000 * 1000  # compare --sides 1000 still answers
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err == f"error: n={n} is too large for an n-entry ring search\n"
 
 
 @pytest.mark.parametrize("flag", ["compare --sides", "figure --id memory --values"])

@@ -22,12 +22,13 @@ from circnoc.topology import (
     search_best_circulant2,
     search_best_ring_circulant,
 )
-from circnoc.topology import _best_ring, _layer_floor, _pair_key, _ring_floor, _ring_key
+from circnoc.topology import _best_ring, _layer_floor, _pair_key, _ring_floor, _ring_key, _short_vector
 from oracles import (
     ref_bfs,
     ref_metrics,
     ref_neighbors,
     ref_pair_profile,
+    ref_ring_fill,
     ref_ring_profile,
     ring_s2_values,
 )
@@ -308,10 +309,10 @@ def test_ring_search_stops_at_the_floor_and_skips_multiplier_twins(monkeypatch):
     monkeypatch.setattr(topology, "_ring_key", lambda n, t, bound: keyed.append((t, bound)) or ring_key(n, t, bound))
     _best_ring.cache_clear()
     assert _best_ring(2025) == (197, _layer_floor(2025))
-    assert len(keyed) == 36  # the lattice floor rules out 147 of the 183 t it reaches
+    assert len(keyed) == 8  # the lattice floor rules out 175 of the 183 t it reaches
     assert max(t for t, _ in keyed) == 197
     assert max(bound for _, bound in keyed) <= _layer_floor(2025)[0] + 1  # the walk is capped at the floor
-    for t, bound in keyed:  # the floor's case j = 1: a stride too short to reach n // 2 is skipped
+    for t, bound in keyed:  # no t it keys has a stride too short to reach n // 2 within the bound
         assert -(-(2025 // 2) // t) <= bound, (t, bound)
     for t, _ in keyed:
         if math.gcd(t, 2025) == 1:
@@ -348,12 +349,42 @@ def test_ring_floor_overlap_count_matches_brute_force():
 
 
 def test_ring_floor_is_below_the_ring_key():
-    # at and below the diameter: the walk calls it with any bound
+    # the walk calls it with any bound, below the diameter and above it
     for n in range(5, 121):
         for t in ring_s2_values(n):
             key = _ring_key(n, t, n)
-            for bound in range(key[0] + 1):
+            for bound in range(n // 2 + 2):
                 assert _ring_floor(n, t, bound) <= key, (n, t, bound)
+
+
+def test_short_vector_is_the_brute_force_shortest():
+    # the least (|x| + j, ||x| - j|) over 1 <= j <= n; the tie-break on c
+    # matters: in C(8; 1, 3), |x| + j is 4 for (x, j) = (3, 1) and (2, 2)
+    assert _short_vector(8, 3) == (4, 0)
+    for n in range(5, 401):
+        for t in ring_s2_values(n):
+            best = (n + 1, 0)
+            for j in range(1, n + 1):
+                if j >= best[0]:  # no larger j is shorter, or as short with a smaller c
+                    break
+                x = min(j * t % n, -j * t % n)
+                best = min(best, (x + j, abs(x - j)))
+            assert _short_vector(n, t) == best, (n, t)
+
+
+def test_ring_floor_fill_matches_the_radius_loop(monkeypatch):
+    # any (lam, c) of a lattice vector: c <= lam and c = lam mod 2
+    for lam in range(1, 31):
+        for c in range(lam % 2, lam + 1, 2):
+            monkeypatch.setattr(topology, "_short_vector", lambda n, t: (lam, c))
+            for n in range(2, 240, 9):
+                for bound in range(22):
+                    assert _ring_floor(n, 0, bound) == ref_ring_fill(n, lam, c, bound), (n, lam, c, bound)
+
+
+def test_best_ring_at_scale():
+    assert _best_ring(10**4) == (1830, (71, 471369))
+    assert _best_ring(90000) == (15906, (212, 12727956))
 
 
 def test_ring_walk_pruned_by_the_floor_matches_the_walk_without_it(monkeypatch):
