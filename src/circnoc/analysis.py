@@ -20,6 +20,7 @@ from .errors import ValidationError
 from .routing import (
     ALGORITHMS,
     CORRECTED,
+    WRAP_BUDGET,
     AdaptiveMode,
     RouteTrace,
     RouterConfig,
@@ -145,10 +146,18 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     n - k scan the same two bases with the same d, so only the offsets
     1 .. n // 2 are scanned and the rest mirror them, as in
     ``circulant_distance_profile``.  Each scan is bounded by its wrap bound
-    from ``_check_wraps``, which refuses one above ``WRAP_BUDGET``.
+    from ``_check_wraps``, ((d + 1) s2 - 1 - base) // n with d at most the
+    diameter D, so the n // 2 pairs of scans walk at most about (D + 1) s2
+    wraps in all; a ring above ``WRAP_BUDGET`` is refused before the first.
     """
     n, s2 = cfg.n, cfg.s2
     profile = circulant_distance_profile(n, (cfg.s1, s2))
+    wraps = (max(profile) + 1) * s2
+    if wraps > WRAP_BUDGET:
+        raise ValidationError(
+            f"the wrap-count scans of {cfg} need up to {wraps} ring wraps, "
+            f"above the budget of {WRAP_BUDGET}"
+        )
     per = [0] * n
     for offset in range(1, n // 2 + 1):
         d = profile[offset]

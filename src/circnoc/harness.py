@@ -310,6 +310,20 @@ class FuzzReport(NamedTuple):
         }, indent=2) + "\n"
 
 
+def _below(getrandbits: Callable[[int], int], k: int) -> int:
+    """A draw in [0, k) by rejection: ``k.bit_length()`` bits, redrawn while >= k.
+
+    This is how CPython's ``Random.randrange(k)`` draws, and
+    ``randint(a, b)`` is a + randrange(b - a + 1), so the draws, and the
+    bits they consume, are theirs; a k of 1 still draws once.
+    """
+    width = k.bit_length()
+    draw = getrandbits(width)
+    while draw >= k:
+        draw = getrandbits(width)
+    return draw
+
+
 def fuzz_termination(config: FuzzConfig) -> FuzzReport:
     """Route seeded random (n, s2, src, dst, algorithm) tuples to completion.
 
@@ -319,15 +333,21 @@ def fuzz_termination(config: FuzzConfig) -> FuzzReport:
     of 10**26 hops on a huge ring costs a few runs; a repeated run start
     proves a livelock.  Only the printed variant can livelock, so a
     corrected run reports none.
+
+    Each trial draws n, s2, src, dst and the algorithm by ``_below`` from
+    the seed's ``getrandbits``, the way ``randint`` and ``randrange``
+    draw, so a seed replays the tuples, and the report bytes, that those
+    calls gave.
     """
-    rng = random.Random(config.seed)
+    bits = random.Random(config.seed).getrandbits
+    n_min, span = config.n_min, config.n_max - config.n_min + 1
     livelocks = []
     for trial in range(config.trials):
-        n = rng.randint(config.n_min, config.n_max)
-        s2 = rng.randint(2, (n - 1) // 2)
-        src = rng.randrange(n)
-        dst = rng.randrange(n)
-        algorithm = ALGORITHMS[rng.randrange(len(ALGORITHMS))]
+        n = n_min + _below(bits, span)
+        s2 = 2 + _below(bits, (n - 1) // 2 - 1)
+        src = _below(bits, n)
+        dst = _below(bits, n)
+        algorithm = ALGORITHMS[_below(bits, len(ALGORITHMS))]
         cfg = RouterConfig(n, 1, s2)
         try:
             route_runs(algorithm, src, dst, cfg, config.mode)

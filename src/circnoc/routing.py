@@ -50,11 +50,12 @@ __all__ = [
 ]
 
 ALGORITHMS = ("table", "clockwise", "adaptive")
-# The most ring wraps a table, unbounded adaptive or ``cycle_report`` scan
-# may walk (``_check_wraps``).  A table route's wrap bound is below n/8 + 1,
-# so no n <= 4e7 is refused, and a BFS distance profile of C(1e7; 1, 5e6)
-# took 3.0 s and 435 MB; at the budget the scan walks about 7 s (1.5 us per
-# wrap in both directions; 2 shared cores, Python 3.11.7).
+# The most ring wraps a table or unbounded adaptive scan may walk
+# (``_check_wraps``), and ``cycle_report``'s scans together.  A table
+# route's wrap bound is below n/8 + 1, so no n <= 4e7 is refused, and a BFS
+# distance profile of C(1e7; 1, 5e6) took 3.0 s and 435 MB; at the budget
+# the scan walks about 7 s (1.5 us per wrap in both directions; 2 shared
+# cores, Python 3.11.7).
 WRAP_BUDGET = 5_000_000
 ADAPTIVE_VARIANTS = ("printed", "corrected")
 
@@ -83,21 +84,24 @@ class RouterConfig(namedtuple("RouterConfig", "n s1 s2")):
       n - 1 entries and an adaptive dict at most 2n - 2.  Clockwise routes
       come from their closed form and are not memoized.
 
-    ``_make``, and so ``_replace``, builds through ``__new__`` and
-    validates too, and so do a copy and an unpickled config
-    (``__reduce__``): each starts with its own empty memo, and a pickle
-    holds the three fields alone.
+    ``__new__`` takes the three fields by position or keyword and checks
+    them in order (s1, then s2, then 2 s2 < n) before it builds: the tuple
+    comes from ``tuple.__new__``, not from the generated namedtuple
+    constructor, and then gets its two attributes.  ``_make``, and so
+    ``_replace``, builds through ``__new__`` and validates too, and so do
+    a copy and an unpickled config (``__reduce__``): each starts with its
+    own empty memo, and a pickle holds the three fields alone.
     """
 
-    def __new__(cls, *args, **kwargs) -> RouterConfig:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.s1 != 1:
-            raise ValidationError(f"first generatrix must be 1, got {self.s1}")
-        if self.s2 < 2:
-            raise ValidationError(f"second generatrix must be >= 2, got {self.s2}")
-        if 2 * self.s2 >= self.n:
-            raise ValidationError(f"second generatrix {self.s2} must be below n/2 = {self.n / 2}")
-        self.port_steps = (self.s1, self.s2, -self.s1, -self.s2)
+    def __new__(cls, n: int, s1: int, s2: int) -> RouterConfig:
+        if s1 != 1:
+            raise ValidationError(f"first generatrix must be 1, got {s1}")
+        if s2 < 2:
+            raise ValidationError(f"second generatrix must be >= 2, got {s2}")
+        if 2 * s2 >= n:
+            raise ValidationError(f"second generatrix {s2} must be below n/2 = {n / 2}")
+        self = tuple.__new__(cls, (n, s1, s2))
+        self.port_steps = (s1, s2, -s1, -s2)
         self._memo = {}
         return self
 
@@ -268,7 +272,9 @@ def _table_legs(offset: int, cfg: RouterConfig) -> tuple[int, int, int, int]:
     q = |b| // s2 hops, which grows with m.  So the scan walks m = 0, 1, ...
     in both directions at once, stops a direction once q exceeds the best
     so far, and sees every representation tied at the distance D: no
-    other J of a wrap ties, and no later wrap reaches D.
+    other J of a wrap ties, and no later wrap reaches D.  One ``divmod``
+    per direction gives both unwrapped forms, which set the first best
+    (and so W0) and are the walk's wrap 0, so no wrap is read twice.
 
     The table leaves by the lowest port that brings the packet one hop
     closer, and a port does that exactly when some tie uses it: drop one
@@ -291,29 +297,36 @@ def _table_legs(offset: int, cfg: RouterConfig) -> tuple[int, int, int, int]:
     """
     n, s2 = cfg.n, cfg.s2
     back = n - offset
-    best = min(_scan(offset, n, s2, 0)[0], _scan(back, n, s2, 0)[0])
+    fq, fr = divmod(offset, s2)
+    bq, br = divmod(back, s2)
+    best = min(fq + min(fr, s2 + 1 - fr), bq + min(br, s2 + 1 - br))
     _check_wraps(min(offset, back), best, n, s2)
     # A tie is its hop count per port; a backward one mirrors port p to p ^ 2.
     top = (0, 0, 0, 0)
-    wrapped, live = 0, True
-    while live:
-        live = False
-        for backward, base in enumerate((offset, back)):
-            q, r = divmod(base + wrapped, s2)
-            if q > best:
-                continue
-            live = True
-            under, over = q + r, q + 1 + s2 - r
+    wrapped = 0
+    while fq <= best or bq <= best:
+        wrapped += n
+        if fq <= best:
+            under, over = fq + fr, fq + 1 + s2 - fr
             if under < best or over < best:
                 best, top = min(under, over), (0, 0, 0, 0)
             if under == best:
-                top = max(top, (0, 0, r, q) if backward else (r, q, 0, 0))
+                top = max(top, (fr, fq, 0, 0))
             if over == best:
-                top = max(top, (s2 - r, 0, 0, q + 1) if backward else (0, q + 1, s2 - r, 0))
-        wrapped += n
-    ports = [port for port in range(4) if top[port]]
-    first = ports[0]
-    return first, top[first], ports[-1], best - top[first]
+                top = max(top, (0, fq + 1, s2 - fr, 0))
+            fq, fr = divmod(offset + wrapped, s2)
+        if bq <= best:
+            under, over = bq + br, bq + 1 + s2 - br
+            if under < best or over < best:
+                best, top = min(under, over), (0, 0, 0, 0)
+            if under == best:
+                top = max(top, (0, 0, br, bq))
+            if over == best:
+                top = max(top, (s2 - br, 0, 0, bq + 1))
+            bq, br = divmod(back + wrapped, s2)
+    first = 0 if top[0] else 1 if top[1] else 2 if top[2] else 3
+    second = 3 if top[3] else 2 if top[2] else 1 if top[1] else 0
+    return first, top[first], second, best - top[first]
 
 
 def _clockwise_delta(current: int, dest: int, cfg: RouterConfig) -> int:

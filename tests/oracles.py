@@ -62,6 +62,26 @@ def ref_table_walk(u, v, n, s2):
     return tuple(nodes), tuple(ports)
 
 
+def ref_table_runs(n, s2):
+    """The lowest-port walk from node 0 to every offset of C(n; 1, s2), as runs.
+
+    One ``ref_ring_profile`` serves the whole ring.  The walk to offset d
+    leaves by the lowest port whose neighbour is one hop closer, then goes
+    on as the walk to what is left, which is one hop shorter: so offsets
+    are filled in order of distance, and the first hop joins the run that
+    follows when it has the same port.  Returns one flat (port, count)
+    tuple per offset, () at offset 0.
+    """
+    profile = ref_ring_profile(n, s2)
+    steps = (1, s2, -1, -s2)
+    runs = [()] * n
+    for d in sorted(range(1, n), key=profile.__getitem__):
+        port = next(p for p in range(4) if profile[(d - steps[p]) % n] == profile[d] - 1)
+        rest = runs[(d - steps[port]) % n]
+        runs[d] = (port, rest[1] + 1) + rest[2:] if rest[:1] == (port,) else (port, 1) + rest
+    return runs
+
+
 def ref_clockwise_walk(u, v, n, s2):
     """Clockwise route from u to v in C(n; 1, s2), walked one hop at a time.
 

@@ -22,7 +22,7 @@ from circnoc.analysis import (
     route_cycle_count,
     table_memory_bits,
 )
-from circnoc import routing
+from circnoc import analysis, routing
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.routing import AS_PRINTED, CORRECTED, AdaptiveMode, RouterConfig, trace_route
 from oracles import dp_min_wraps, ref_chip_capacity, ref_ring_profile, ring_s2_values
@@ -148,6 +148,18 @@ def test_cycle_report_refuses_a_wrap_bound_over_the_budget(monkeypatch):
     monkeypatch.setattr(routing, "WRAP_BUDGET", 0)
     with pytest.raises(ValidationError, match="ring wraps, above the budget of 0"):
         cycle_report(RouterConfig(100, 1, 44))
+
+
+def test_cycle_report_refuses_a_ring_over_the_budget_before_its_first_scan(monkeypatch):
+    # the scans of C(100; 1, 44) walk at most (D + 1) s2 wraps in all
+    total = (max(ref_ring_profile(100, 44)) + 1) * 44
+    monkeypatch.setattr(analysis, "WRAP_BUDGET", total)
+    assert cycle_report(C100).max_cycles == 2
+    monkeypatch.setattr(analysis, "WRAP_BUDGET", total - 1)
+    monkeypatch.setattr(analysis, "_scan", None)
+    message = f"^the wrap-count scans of C\\(100; 1, 44\\) need up to {total} ring wraps, above the budget of {total - 1}$"
+    with pytest.raises(ValidationError, match=message):
+        cycle_report(C100)
 
 
 def test_realized_adaptive_wraps_bound_arithmetic_minimum():

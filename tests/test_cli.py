@@ -290,6 +290,17 @@ def test_ring_search_over_the_budget_exits_one(capsys, argv, n):
     assert err == f"error: n={n} is too large for an n-entry ring search\n"
 
 
+def test_cycles_over_the_wrap_budget_exits_one(capsys):
+    # the best ring at 10^6 is C(10^6; 1, 398018) of diameter 707: its scans
+    # would walk up to 708 * 398018 wraps, so they are refused before the first
+    code, _, err = run(capsys, "figure", "--id", "cycles", "--values", "1000000")
+    assert code == 1
+    assert err == (
+        "error: the wrap-count scans of C(1000000; 1, 398018) need up to 281796744 ring wraps, "
+        f"above the budget of {routing.WRAP_BUDGET}\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["compare --sides", "figure --id memory --values"])
 def test_oversized_value_range_exits_one(capsys, flag):
     code, _, err = run(capsys, *flag.split(), f"3..{10**30}")

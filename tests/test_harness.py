@@ -1,8 +1,10 @@
 import copy
 import csv
+import hashlib
 import io
 import json
 import pickle
+import random
 
 import pytest
 
@@ -10,6 +12,7 @@ from circnoc.analysis import ChipProfile, QuadraticCost, format_memory_csv, memo
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.harness import (
     REFERENCE_FIRST_N_OVER_TWO_CYCLES,
+    _below,
     ExperimentConfig,
     FuzzConfig,
     fuzz_termination,
@@ -248,6 +251,32 @@ def test_fuzz_printed_variant_livelocks_reproduce():
         mode = AdaptiveMode(entry["variant"], entry["max_cycles"])
         with pytest.raises(LivelockError):
             trace_route(entry["algorithm"], entry["src"], entry["dst"], cfg, mode)
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (FuzzConfig(seed=1, trials=10_000), "95de05dbc7377f4ae8aae894fa18dfb82e238e25f09b09bc3466a45dd497157f"),
+        (FuzzConfig(seed=1, mode=AS_PRINTED), "1fe3b8e1f74fcc45be8f1a1a9dd3bf17c3ddafc5e9c52d9608a990d5ef76f0d9"),
+        (
+            FuzzConfig(seed=5, trials=500, n_min=5, n_max=5),
+            "5721575fc0e6dd1320e319d910d194b3b203141270beb6d19e41a3ed1c72be43",
+        ),
+    ],
+    ids=["corrected", "printed", "one_size"],
+)
+def test_fuzz_report_bytes_are_pinned(config, digest):
+    # digests of the reports drawn with Random.randint and randrange
+    assert hashlib.sha256(fuzz_termination(config).to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 296, 2**64 + 1, 10**30])
+def test_below_draws_what_randrange_draws(k):
+    for seed in range(4):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draws = [_below(ours.getrandbits, k) for _ in range(200)]
+        assert draws == [theirs.randrange(k) for _ in range(200)], (seed, k)
+        assert ours.getstate() == theirs.getstate(), (seed, k)
 
 
 def test_fuzz_config_validation():

@@ -33,6 +33,7 @@ from oracles import (
     ref_clockwise_walk,
     ref_neighbors,
     ref_ring_profile,
+    ref_table_runs,
     ref_table_walk,
     ring_s2_values,
 )
@@ -90,6 +91,33 @@ def test_replaced_router_config_is_validated_and_routes():
     assert RouterConfig._make((100, 1, 44)) == C100
     with pytest.raises(ValidationError):
         RouterConfig(100, 1, 18)._replace(s2=50)
+
+
+def test_router_config_constructor():
+    assert RouterConfig(n=100, s1=1, s2=44) == RouterConfig(100, 1, s2=44) == C100
+    assert RouterConfig(n=100, s1=1, s2=44).port_steps == (1, 44, -1, -44)
+    for args in [(100, 1), (100, 1, 44, 2), ()]:
+        with pytest.raises(TypeError):
+            RouterConfig(*args)
+    with pytest.raises(TypeError):
+        RouterConfig(100, 1, 44, s2=44)
+    # the checks run in order: the first generatrix is reported first
+    with pytest.raises(ValidationError, match="^first generatrix must be 1, got 2$"):
+        RouterConfig(8, 2, 1)
+    with pytest.raises(ValidationError, match="^second generatrix must be >= 2, got 1$"):
+        RouterConfig(8, 1, 1)
+    with pytest.raises(ValidationError, match=r"^second generatrix 4 must be below n/2 = 4\.0$"):
+        RouterConfig(8, 1, 4)
+
+
+def test_router_config_rebuilds_validate():
+    # a tuple of invalid fields built around __new__ is refused by each rebuild
+    bad = tuple.__new__(RouterConfig, (8, 2, 1))
+    for rebuild in (lambda: bad._replace(n=9), lambda: copy.copy(bad), lambda: pickle.loads(pickle.dumps(bad))):
+        with pytest.raises(ValidationError, match="^first generatrix must be 1, got 2$"):
+            rebuild()
+    with pytest.raises(ValidationError, match="^second generatrix 4 must be below n/2 = 4.0$"):
+        RouterConfig.from_spec(CirculantSpec(8, (1, 4)))
 
 
 @pytest.mark.parametrize("n, bits", [(2, 1), (8, 3), (9, 4), (100, 7), (128, 7), (129, 8), (529, 10)])
@@ -663,6 +691,18 @@ def test_table_trace_from_the_scan_equals_a_lowest_port_walk_on_wrapping_rings(n
     v = (u + data.draw(st.integers(min_value=1, max_value=n - 1))) % n
     trace = trace_route("table", u, v, RouterConfig(n, 1, s2))
     assert (trace.nodes, trace.ports) == ref_table_walk(u, v, n, s2), (n, s2, u, v)
+
+
+def test_table_runs_equal_the_lowest_port_walk_on_every_small_ring():
+    # every ring with n <= 120 and every offset: the one-pass scan's two legs
+    # are the runs of the lowest-port walk, and an empty second leg repeats
+    # the first port
+    for n in range(5, 121):
+        for s2 in ring_s2_values(n):
+            cfg = RouterConfig(n, 1, s2)
+            for offset, walk in enumerate(ref_table_runs(n, s2)[1:], 1):
+                legs = route_runs("table", 0, offset, cfg)
+                assert legs == (walk if len(walk) == 4 else walk + (walk[0], 0)), (n, s2, offset)
 
 
 def test_warm_table_and_clockwise_traces_run_no_loop_per_hop():
