@@ -19,7 +19,6 @@ from .analysis import (
     clockwise_memory_bits,
     cycle_report,
     efficiency_k,
-    max_cycle_count,
     memory_report,
     resource_usage,
     route_cycle_count,

@@ -45,12 +45,10 @@ __all__ = [
     "efficiency_k",
     "route_cycle_count",
     "cycle_report",
-    "max_cycle_count",
     "table_memory_bits",
     "clockwise_memory_bits",
     "adaptive_memory_bits",
     "memory_report",
-    "format_memory_csv",
     "resource_usage",
     "chip_capacity",
 ]
@@ -171,11 +169,6 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     return CycleReport(n=n, s2=s2, per_destination=tuple(per))
 
 
-def max_cycle_count(cfg: RouterConfig) -> int:
-    """Largest wrap count any destination needs for a shortest route."""
-    return cycle_report(cfg).max_cycles
-
-
 def _ceil_log2(value: int) -> int:
     return (value - 1).bit_length()
 
@@ -218,13 +211,6 @@ def memory_report(n: int, p: int = 4) -> MemoryReport:
         clockwise_bits=clockwise_memory_bits(n),
         adaptive_bits=adaptive_memory_bits(n),
     )
-
-
-def format_memory_csv(reports: list[MemoryReport]) -> str:
-    """CSV rows ``n,payload_bits,table_bits,clockwise_bits,adaptive_bits``."""
-    lines = [",".join(MemoryReport._fields)]
-    lines += (",".join(map(str, r)) for r in reports)
-    return "\n".join(lines) + "\n"
 
 
 class QuadraticCost(namedtuple("QuadraticCost", "a0 a1 a2")):

@@ -2,7 +2,9 @@
 
 Every subcommand is a thin wrapper: it parses flags, calls one library
 operation, prints a human-readable summary, and writes machine artifacts
-only when ``--out`` is given.  Exit codes: 0 success; 1 validation,
+only when ``--out`` is given.  This module is the only one that writes a
+file (``_write``), and every CSV it writes is rendered by
+``harness._render_csv``.  Exit codes: 0 success; 1 validation,
 usage or output-file error, or a route that livelocks (revisits a node, as
 the printed adaptive variant can; the error names the cycle); 2 an
 unexpected exception (its traceback is printed), and ``fuzz`` when it
@@ -17,14 +19,16 @@ best-ring search above ``topology.RING_BUDGET`` nodes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
-from pathlib import Path
 
 from . import analysis, harness, routing, topology
 from .errors import LivelockError, ValidationError
 
 __all__ = ["main", "build_parser"]
+
+_METRICS_COLUMNS = ("n", "topology", "generatrices", "diameter", "avg_distance", "edges")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,9 +96,14 @@ def _router_cfg(args) -> routing.RouterConfig:
     return routing.RouterConfig.from_spec(_parse_circulant(args.circulant))
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-    print(f"wrote {path}")
+def _write(path: str, text: str) -> str:
+    """Write one artifact and return the line that reports it, for the caller to print."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return f"wrote {path}"
 
 
 def _cmd_topo(args) -> int:
@@ -109,10 +118,12 @@ def _cmd_topo(args) -> int:
         print(f"diameter D = {m.diameter}")
         print(f"average distance L_av = {m.avg_distance:.4f}")
         if args.out:
-            _write(args.out, topology.format_metrics_csv([(topo, m)]))
+            gens = " ".join(map(str, topo.generatrices)) if kind == "circulant" else ""
+            row = (topo.n, kind, gens, m.diameter, m.avg_distance, m.edge_count)
+            print(_write(args.out, harness._render_csv(_METRICS_COLUMNS, [row])))
     elif args.out:
         export = topology.graph_to_dot if args.format == "dot" else topology.graph_to_edge_csv
-        _write(args.out, export(topo))
+        print(_write(args.out, export(topo)))
     return 0
 
 
@@ -128,7 +139,8 @@ def _cmd_table(args) -> int:
         cells = " ".join(f"{'-' if u == v else row[(v - u) % n]:>{width}}" for v in range(n))
         print(f"{u:>{width}}  {cells}")
     if args.out:
-        _write(args.out, table.to_csv())
+        rows = ((u, v, row[(v - u) % n]) for u in range(n) for v in range(n) if u != v)
+        print(_write(args.out, harness._render_csv(("from", "to", "port"), rows)))
     return 0
 
 
@@ -140,7 +152,7 @@ def _cmd_route(args) -> int:
     print(f"{args.algorithm} route in {cfg}: {path}")
     print(f"hops = {trace.hops}, cycles = {cycles}")
     if args.out:
-        _write(args.out, trace.to_json() + "\n")
+        print(_write(args.out, trace.to_json() + "\n"))
     return 0
 
 
@@ -150,10 +162,10 @@ def _cmd_compare(args) -> int:
         figure="topology_metrics",
         values=sides,
         selection=args.selection,
-        out_path=args.out,
         out_format=args.format or "csv",
     )
     result = harness.run_experiment(config)
+    wrote = _write(args.out, result.text) if args.out else None
     for row in result.rows:
         n, _, s1, s2 = row[0], row[1], row[2], row[3]
         circ_d, circ_lav, mesh_d, mesh_lav, torus_d, torus_lav = row[4:10]
@@ -162,8 +174,8 @@ def _cmd_compare(args) -> int:
             f"mesh D={mesh_d} Lav={mesh_lav:.4f} | torus D={torus_d} Lav={torus_lav:.4f} | "
             f"D reduction {row[10]:.1f}% vs mesh, {row[11]:.1f}% vs torus"
         )
-    if result.path:
-        print(f"wrote {result.path}")
+    if wrote:
+        print(wrote)
     return 0
 
 
@@ -182,7 +194,7 @@ def _cmd_cycles(args) -> int:
     report = analysis.cycle_report(cfg)
     print(f"max cycles = {report.max_cycles} for {cfg}")
     if args.out:
-        _write(args.out, report.to_json() + "\n")
+        print(_write(args.out, report.to_json() + "\n"))
     return 0
 
 
@@ -194,7 +206,7 @@ def _cmd_memory(args) -> int:
     print(f"clockwise bits = {report.clockwise_bits}")
     print(f"adaptive bits = {report.adaptive_bits}")
     if args.out:
-        _write(args.out, analysis.format_memory_csv([report]))
+        print(_write(args.out, harness._render_csv(report._fields, [report])))
     return 0
 
 
@@ -220,31 +232,28 @@ def _cmd_capacity(args) -> int:
         f"ALM {report.alm_used:.1f}, registers {report.reg_used:.1f})"
     )
     if args.out:
-        _write(args.out, report.to_json() + "\n")
+        print(_write(args.out, report.to_json() + "\n"))
     return 0
 
 
 def _cmd_figure(args) -> int:
-    if args.values:
-        values = _parse_int_range(args.values)
-    else:
+    if args.values is None:
         values = harness.FIGURE_SPECS[args.id].default_values
+    else:
+        values = _parse_int_range(args.values)
     config = harness.ExperimentConfig(
         figure=args.id,
         values=values,
         selection=args.selection,
         mode=_mode_from(args),
-        out_path=args.out,
         out_format=args.format or ("json" if args.id == "capacity" else "csv"),
     )
     result = harness.run_experiment(config)
+    tail = f"{_write(args.out, result.text)}\n" if args.out else result.text
     print(f"figure {result.figure}: {len(result.rows)} rows")
     for key, value in result.meta.items():
         print(f"{key} = {value}")
-    if result.path:
-        print(f"wrote {result.path}")
-    else:
-        sys.stdout.write(result.text)
+    sys.stdout.write(tail)
     return 0
 
 
@@ -261,7 +270,7 @@ def _cmd_fuzz(args) -> int:
     for entry in report.livelocks:
         print(f"livelock: {entry}")
     if args.out:
-        _write(args.out, report.to_json())
+        print(_write(args.out, report.to_json()))
     return 2 if report.livelocks else 0
 
 
@@ -276,7 +285,9 @@ def _add_mode_flags(parser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every ``main`` call shares it."""
     parser = _Parser(prog="circnoc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

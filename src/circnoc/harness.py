@@ -2,10 +2,12 @@
 
 ``run_experiment`` regenerates the comparison datasets (topology metrics,
 wrap-count sweeps, efficiency curves, memory and resource tables, chip
-capacity) as deterministic CSV or JSON artifacts; re-running a config
-reproduces identical bytes.  ``fuzz_termination`` hammers the three
-routing algorithms with seeded random tuples and reports any route that
-livelocks (revisits a node) with its full reproduction tuple.
+capacity) as deterministic CSV or JSON text; re-running a config
+reproduces identical bytes.  Nothing here writes a file: the CLI writes
+every ``--out``, and ``_render_csv`` renders every CSV it writes.
+``fuzz_termination`` hammers the three routing algorithms with seeded
+random tuples and reports any route that livelocks (revisits a node)
+with its full reproduction tuple.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .analysis import (
@@ -22,8 +23,8 @@ from .analysis import (
     ChipProfile,
     MemoryReport,
     chip_capacity,
+    cycle_report,
     efficiency_k,
-    max_cycle_count,
     memory_report,
     resource_usage,
 )
@@ -59,8 +60,8 @@ def square_sizes(min_side: int = 3, max_side: int = 23) -> tuple[int, ...]:
 class ExperimentConfig(
     namedtuple(
         "ExperimentConfig",
-        "figure values selection mode out_path out_format",
-        defaults=((), "best_ring", CORRECTED, None, "csv"),
+        "figure values selection mode out_format",
+        defaults=((), "best_ring", CORRECTED, "csv"),
     )
 ):
     """One dataset regeneration request.
@@ -70,8 +71,8 @@ class ExperimentConfig(
     ``capacity`` takes none.  Figures that route packets require the
     ``best_ring`` selection rule, since the other rules may pick
     circulants without the unit generatrix.  ``mode`` is the
-    ``AdaptiveMode`` of routed figures, and ``out_path``, when set, is
-    where the artifact is written, as ``out_format`` ``csv`` or ``json``.
+    ``AdaptiveMode`` of routed figures, and ``out_format`` (``csv`` or
+    ``json``) the form of the rendered text.
     """
 
     __slots__ = ()
@@ -107,7 +108,6 @@ class ExperimentResult(NamedTuple):
     rows: tuple[tuple, ...]
     meta: Mapping[str, object]
     text: str
-    path: Path | None
 
 
 def _rows_topology_metrics(config: ExperimentConfig) -> list[tuple]:
@@ -133,7 +133,7 @@ def _rows_cycles(config: ExperimentConfig) -> list[tuple]:
     rows = []
     for n in sorted(set(config.values)):
         cfg = _best_ring_cfg(n)
-        rows.append((n, cfg.s2, max_cycle_count(cfg)))
+        rows.append((n, cfg.s2, cycle_report(cfg).max_cycles))
     return rows
 
 
@@ -225,6 +225,7 @@ FIGURES = tuple(FIGURE_SPECS)
 
 
 def _render_csv(columns: tuple[str, ...], rows: Iterable[tuple]) -> str:
+    """The one CSV layout: a header, then a line per row; floats by ``repr``, the rest by ``str``."""
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
@@ -242,7 +243,7 @@ def _render_json(figure: str, columns: tuple[str, ...], rows: Iterable[tuple], m
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Build one figure dataset and optionally write it to ``out_path``."""
+    """Build one figure dataset and render it as text; no file is written."""
     spec = FIGURE_SPECS[config.figure]
     rows = spec.rows(config)
     meta = spec.meta(rows) if spec.meta else {}
@@ -250,21 +251,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         text = _render_csv(spec.columns, rows)
     else:
         text = _render_json(config.figure, spec.columns, rows, meta)
-
-    path = None
-    if config.out_path is not None:
-        path = Path(config.out_path)
-        try:
-            path.write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"cannot write experiment artifact to {path}: {exc}") from exc
     return ExperimentResult(
         figure=config.figure,
         columns=spec.columns,
         rows=tuple(rows),
         meta=meta,
         text=text,
-        path=path,
     )
 
 

@@ -189,16 +189,6 @@ class RoutingTable(NamedTuple):
             raise ValidationError(f"packet already delivered: node {current}")
         return self.ports[(dest - current) % self.n]
 
-    def to_csv(self) -> str:
-        """CSV rows ``from,to,port`` sorted by (from, to)."""
-        n, row = self.n, self.ports
-        lines = ["from,to,port"]
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    lines.append(f"{u},{v},{row[(v - u) % n]}")
-        return "\n".join(lines) + "\n"
-
 
 class RouteTrace(NamedTuple):
     """Ordered node and port sequence of one routed packet."""

@@ -32,7 +32,6 @@ __all__ = [
     "compare_topologies",
     "graph_to_dot",
     "graph_to_edge_csv",
-    "format_metrics_csv",
 ]
 
 # The largest n a ring search walks, as ``routing.WRAP_BUDGET`` bounds a
@@ -641,18 +640,4 @@ def graph_to_edge_csv(topology: CirculantSpec | GridSpec) -> str:
     lines = ["u,v"]
     for u, v in topology.edges():
         lines.append(f"{u},{v}")
-    return "\n".join(lines) + "\n"
-
-
-def format_metrics_csv(
-    records: Iterable[tuple[CirculantSpec | GridSpec, TopologyMetrics]],
-) -> str:
-    """Render (topology, metrics) records as CSV with header
-    ``n,topology,generatrices,diameter,avg_distance,edges``; a circulant's
-    generatrices are space-separated, and the column is blank for a grid.
-    """
-    lines = ["n,topology,generatrices,diameter,avg_distance,edges"]
-    for topo, m in records:
-        gens = " ".join(map(str, topo.generatrices)) if topo.kind == "circulant" else ""
-        lines.append(f"{topo.n},{topo.kind},{gens},{m.diameter},{m.avg_distance!r},{m.edge_count}")
     return "\n".join(lines) + "\n"

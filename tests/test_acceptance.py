@@ -69,23 +69,17 @@ def test_criterion_3_efficiency_claims():
             cfg = cn.RouterConfig.from_spec(cn.search_best_ring_circulant(n))
             assert cn.efficiency_k(cfg, "table").k == 1.0, n
             assert cn.efficiency_k(cfg, "clockwise").k >= 1.0, n
-            if cn.max_cycle_count(cfg) <= 2:
+            if cn.cycle_report(cfg).max_cycles <= 2:
                 assert cn.efficiency_k(cfg, "adaptive", cn.CORRECTED).k == 1.0, n
         report = cn.efficiency_k(cn.RouterConfig(16, 1, 7), "clockwise")
         assert report.k > 1.0
         assert abs(report.k - 46 / 34) <= 1e-9
 
 
-def test_criterion_4_cycle_threshold_reported(tmp_path):
+def test_criterion_4_cycle_threshold_reported():
     with criterion(4, "first best-ring size needing >2 wraps reported against 174", 120.0):
-        out = tmp_path / "cycles.json"
         result = cn.run_experiment(
-            cn.ExperimentConfig(
-                figure="cycles",
-                values=tuple(range(5, 201)),
-                out_path=out,
-                out_format="json",
-            )
+            cn.ExperimentConfig(figure="cycles", values=tuple(range(5, 201)), out_format="json")
         )
         first_n = result.meta["first_n_exceeding_two"]
         reference = result.meta["reference_first_n"]
@@ -95,13 +89,13 @@ def test_criterion_4_cycle_threshold_reported(tmp_path):
         # wraps earlier than the reference sweep's unspecified rule; the
         # report artifact itself logs both values
         assert first_n == 114
-        payload = json.loads(out.read_text(encoding="utf-8"))
+        payload = json.loads(result.text)
         assert payload["meta"]["first_n_exceeding_two"] == first_n
         assert payload["meta"]["reference_first_n"] == 174
         assert payload["meta"]["matches_reference"] is (first_n == 174)
         if first_n != reference:
             print(
-                f"  note: selection-rule deviation documented in {out.name}: "
+                "  note: selection-rule deviation documented in the cycles report: "
                 f"first n = {first_n}, reference = {reference}"
             )
 
@@ -171,7 +165,7 @@ def test_criterion_8_oracle_equivalence_suite():
                 # trace to take exactly dist hops
                 assert _table_descends_everywhere(cfg, dist), (n, s2)
 
-                wraps_needed = cn.max_cycle_count(cfg)
+                wraps_needed = cn.cycle_report(cfg).max_cycles
                 mode = cn.AdaptiveMode("corrected", max(2, wraps_needed))
                 for dst in range(1, n):
                     assert cn.trace_route("table", 0, dst, cfg).hops == dist[dst], (n, s2, dst)

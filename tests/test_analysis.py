@@ -15,14 +15,13 @@ from circnoc.analysis import (
     clockwise_memory_bits,
     cycle_report,
     efficiency_k,
-    format_memory_csv,
-    max_cycle_count,
     memory_report,
     resource_usage,
     route_cycle_count,
     table_memory_bits,
 )
 from circnoc import analysis, routing
+from circnoc.harness import _render_csv
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.routing import AS_PRINTED, CORRECTED, AdaptiveMode, RouterConfig, trace_route
 from oracles import dp_min_wraps, ref_chip_capacity, ref_ring_profile, ring_s2_values
@@ -50,7 +49,7 @@ def test_clockwise_efficiency_c16():
 
 
 def test_adaptive_efficiency_within_two_wraps():
-    assert max_cycle_count(C100) == 2
+    assert cycle_report(C100).max_cycles == 2
     assert efficiency_k(C100, "adaptive").k == 1.0
 
 
@@ -130,8 +129,8 @@ def test_route_cycle_count_short_route_is_zero():
 
 
 def test_max_cycle_count_examples():
-    assert max_cycle_count(C100) == 2
-    assert max_cycle_count(C8) == 0
+    assert cycle_report(C100).max_cycles == 2
+    assert cycle_report(C8).max_cycles == 0
 
 
 def test_cycle_report_matches_dp_oracle():
@@ -231,7 +230,7 @@ def test_memory_bits_validation(call):
 def test_memory_report_and_csv():
     report = memory_report(8)
     assert (report.payload_bits, report.table_bits, report.clockwise_bits, report.adaptive_bits) == (3, 128, 40, 64)
-    text = format_memory_csv([report])
+    text = _render_csv(report._fields, [report])
     assert text == "n,payload_bits,table_bits,clockwise_bits,adaptive_bits\n8,3,128,40,64\n"
 
 

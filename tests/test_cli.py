@@ -12,7 +12,7 @@ import pytest
 
 from circnoc import routing, topology
 from circnoc.analysis import DEFAULT_RESOURCE_MODEL, chip_capacity
-from circnoc.cli import main
+from circnoc.cli import build_parser, main
 from circnoc.harness import ExperimentConfig, run_experiment
 from circnoc.routing import RouterConfig, build_routing_table, trace_route
 
@@ -54,6 +54,14 @@ def test_topo_metrics_csv_lists_every_generatrix(capsys, tmp_path):
     code, _, _ = run(capsys, "topo", "--circulant", "7,1", "--metrics", "--out", str(path))
     assert code == 0
     assert path.read_text(encoding="utf-8").splitlines()[1] == "7,circulant,1,3,2.0,7"
+    for flag, value, line in [
+        ("--circulant", "8,1,3", f"8,circulant,1 3,2,{10 / 7!r},16"),
+        ("--mesh", "3x3", "9,mesh,,4,2.0,12"),
+        ("--torus", "3x3", "9,torus,,2,1.5,18"),
+    ]:
+        code, _, _ = run(capsys, "topo", flag, value, "--metrics", "--out", str(path))
+        assert code == 0
+        assert path.read_text(encoding="utf-8").splitlines()[1] == line
 
 
 def test_topo_answers_from_the_identity_without_neighbor_lists(capsys):
@@ -107,12 +115,15 @@ def test_export_of_a_topology_too_large_to_list_exits_one(capsys, tmp_path, flag
 
 
 def test_table_writes_golden_csv(capsys, tmp_path):
+    # rows from,to,port for every u != v, sorted by (from, to)
     path = tmp_path / "table.csv"
     code, out, _ = run(capsys, "table", "--circulant", "8,1,3", "--out", str(path))
     assert code == 0
-    text = path.read_text(encoding="utf-8")
-    assert text == build_routing_table(RouterConfig(8, 1, 3)).to_csv()
-    assert len(text.splitlines()) == 1 + 56
+    assert out.endswith(f"wrote {path}\n")
+    table = build_routing_table(RouterConfig(8, 1, 3))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "from,to,port" and lines[1] == "0,1,0"
+    assert lines[1:] == [f"{u},{v},{table.port(u, v)}" for u in range(8) for v in range(8) if u != v]
 
 
 def test_route_trace_and_json(capsys, tmp_path):
@@ -408,13 +419,18 @@ def test_cycles_command(capsys, tmp_path):
     assert len(payload["per_destination"]) == 100
 
 
-def test_memory_command(capsys):
+def test_memory_command(capsys, tmp_path):
     code, out, _ = run(capsys, "memory", "--n", "8")
     assert code == 0
     assert "payload bits = 3" in out
     assert "table bits = 128" in out
     assert "clockwise bits = 40" in out
     assert "adaptive bits = 64" in out
+    path = tmp_path / "memory.csv"
+    code, out, _ = run(capsys, "memory", "--n", "100", "--out", str(path))
+    assert code == 0
+    assert out.endswith(f"adaptive bits = 2000\nwrote {path}\n")
+    assert path.read_bytes() == b"n,payload_bits,table_bits,clockwise_bits,adaptive_bits\n100,7,20000,1300,2000\n"
 
 
 def test_resources_command(capsys):
@@ -574,13 +590,56 @@ def test_help_exits_zero(capsys):
     [
         ("figure", "--id", "memory", "--values", "9"),
         ("table", "--circulant", "8,1,3"),
+        ("compare", "--sides", "3"),
+        ("topo", "--circulant", "8,1,3"),
+        ("topo", "--mesh", "3x3", "--metrics"),
+        ("route", "--algorithm", "table", "--circulant", "8,1,3", "--src", "0", "--dst", "3"),
+        ("cycles", "--circulant", "8,1,3"),
+        ("memory", "--n", "8"),
+        ("capacity", "--algorithm", "table"),
+        ("fuzz", "--seed", "1", "--trials", "5"),
     ],
 )
 def test_unwritable_out_exits_one(capsys, tmp_path, argv):
-    out = tmp_path / "missing-dir" / "artifact.csv"
-    code, _, err = run(capsys, *argv, "--out", str(out))
+    # one error line that names the path; figure and compare print nothing before it
+    path = tmp_path / "missing-dir" / "artifact.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 1
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    if argv[0] in ("figure", "compare"):
+        assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("topo", "--circulant", "8"),
+        ("topo", "--circulant", "8,a"),
+        ("figure", "--id", "memory", "--values", "1..2..3"),
+        ("figure", "--id", "memory", "--values", "5..3"),
+        ("figure", "--id", "memory", "--values", ","),
+        ("figure", "--id", "memory", "--values", ""),
+        ("compare", "--sides", ""),
+        ("route", "--algorithm", "table", "--circulant", "8,1,3", "--src", "-1", "--dst", "2"),
+        ("route", "--algorithm", "table", "--circulant", "8,1,3", "--src", "0", "--dst", "8"),
+        ("efficiency", "--algorithm", "table", "--circulant", "8,1,3", "--source", "8"),
+    ],
+    ids=" ".join,
+)
+def test_refused_input_exits_one_with_one_error_line(capsys, argv):
+    # an empty --values is refused like an empty --sides, not read as the default sweep
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_main_builds_the_parser_once(capsys):
+    build_parser.cache_clear()
+    assert run(capsys, "memory", "--n", "8")[0] == 0
+    assert run(capsys, "figure", "--id", "memory", "--values", "9")[0] == 0
+    assert build_parser.cache_info().misses == 1
+    assert build_parser.cache_info().hits == 1
 
 
 def test_topo_json_format_is_a_usage_error(capsys, tmp_path):
@@ -611,6 +670,19 @@ def test_runtime_imports_only_the_standard_library():
     assert outside_stdlib == "[]"
     # value types are tuples: the import needs neither dataclasses nor inspect
     assert heavy == "[]"
+
+
+def test_only_the_cli_writes_files():
+    # every artifact is written by cli._write; library modules return text
+    writers = {"open", "write_text", "write_bytes"}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "circnoc").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name not in writers, f"{path.name}:{node.lineno} calls {name}"
 
 
 def test_exports_resolve_and_the_package_imports_only_exported_names():

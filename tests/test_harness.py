@@ -8,12 +8,14 @@ import random
 
 import pytest
 
-from circnoc.analysis import ChipProfile, QuadraticCost, format_memory_csv, memory_report
+from circnoc.analysis import ChipProfile, QuadraticCost
+from circnoc.cli import main
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.harness import (
     REFERENCE_FIRST_N_OVER_TWO_CYCLES,
     _below,
     ExperimentConfig,
+    ExperimentResult,
     FuzzConfig,
     fuzz_termination,
     run_experiment,
@@ -52,6 +54,18 @@ def test_config_requires_ring_selection_for_routing_figures():
         ExperimentConfig(figure="efficiency", values=(9,), selection="formula_eq1")
     with pytest.raises(ValidationError):
         ExperimentConfig(figure="cycles", values=(9,), selection="best_general")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"selection": "best_torus"}, "unknown selection rule 'best_torus'"),
+        ({"out_format": "xml"}, "unknown output format 'xml'"),
+    ],
+)
+def test_config_rejects_unknown_selection_and_format(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        ExperimentConfig(figure="memory", values=(9,), **fields)
 
 
 def test_config_capacity_is_json_only():
@@ -122,11 +136,12 @@ def test_memory_figure_monotone_columns():
         assert len(set(series)) > 1
 
 
-def test_memory_csv_writers_agree():
-    # memory --out writes format_memory_csv; the memory figure renders the same reports
-    sizes = (9, 16, 100)
-    figure = run_experiment(ExperimentConfig("memory", sizes))
-    assert format_memory_csv([memory_report(n) for n in sizes]) == figure.text
+def test_memory_csv_writers_agree(tmp_path, capsys):
+    # memory --out and the memory figure render one report through the same CSV writer
+    path = tmp_path / "memory.csv"
+    for n in (9, 16, 100):
+        assert main(["memory", "--n", str(n), "--out", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == run_experiment(ExperimentConfig("memory", (n,))).text
 
 
 def test_resources_figure_rows():
@@ -163,12 +178,13 @@ def test_experiments_are_reproducible(config):
     assert run_experiment(config).text == run_experiment(config).text
 
 
-def test_experiment_writes_artifact(tmp_path):
+def test_experiment_writes_artifact(tmp_path, capsys):
+    # run_experiment only renders: the result holds the text, and figure --out writes it
+    assert ExperimentResult._fields == ("figure", "columns", "rows", "meta", "text")
     path = tmp_path / "memory.csv"
-    result = run_experiment(
-        ExperimentConfig(figure="memory", values=(9, 16), out_path=path)
-    )
-    assert result.path == path
+    assert main(["figure", "--id", "memory", "--values", "9,16", "--out", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {path}\n")
+    result = run_experiment(ExperimentConfig(figure="memory", values=(9, 16)))
     assert path.read_text(encoding="utf-8") == result.text
 
 

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circnoc import routing
+from circnoc.cli import main
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.routing import (
     ADAPTIVE_VARIANTS,
@@ -221,8 +222,12 @@ def test_table_first_hop_examples():
         build_routing_table(C8).port(5, 5)
 
 
-def test_routing_table_csv():
-    text = build_routing_table(C8).to_csv()
+
+def test_routing_table_csv(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    assert main(["table", "--circulant", "8,1,3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text(encoding="utf-8")
     lines = text.rstrip("\n").split("\n")
     assert lines[0] == "from,to,port"
     assert len(lines) == 1 + 8 * 7
@@ -346,11 +351,11 @@ def test_adaptive_delta_depends_only_on_ordered_difference():
 
 
 def test_adaptive_traces_are_shortest_when_wraps_covered():
-    from circnoc.analysis import max_cycle_count
+    from circnoc.analysis import cycle_report
 
     for n, s2 in [(8, 3), (16, 6), (100, 44), (60, 23), (67, 32)]:
         cfg = RouterConfig(n, 1, s2)
-        mode = AdaptiveMode("corrected", max(2, max_cycle_count(cfg)))
+        mode = AdaptiveMode("corrected", max(2, cycle_report(cfg).max_cycles))
         profile = ref_ring_profile(n, s2)
         for dst in range(1, n):
             assert trace_route("adaptive", 0, dst, cfg, mode).hops == profile[dst]

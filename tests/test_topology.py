@@ -14,7 +14,6 @@ from circnoc.topology import (
     GridSpec,
     circulant_distance_profile,
     compare_topologies,
-    format_metrics_csv,
     formula_optimal_circulant,
     graph_to_dot,
     graph_to_edge_csv,
@@ -686,6 +685,11 @@ def test_search_best_ring_rejects_small_n():
         search_best_ring_circulant(4)
 
 
+def test_search_best_circulant2_rejects_small_n():
+    with pytest.raises(ValidationError, match="need n >= 5"):
+        search_best_circulant2(4)
+
+
 def test_search_best_ring_never_worse_than_extreme_choices():
     for n in range(6, 80):
         best = search_best_ring_circulant(n)
@@ -781,10 +785,13 @@ def test_exports_keep_their_pinned_texts():
     )
 
 
-def test_format_metrics_csv():
-    spec, mesh = CirculantSpec(8, (1, 3)), GridSpec("mesh", 3, 3)
-    text = format_metrics_csv([(spec, metrics(spec)), (mesh, metrics(mesh))])
-    lines = text.splitlines()
+def test_format_metrics_csv(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    assert main(["topo", "--circulant", "8,1,3", "--metrics", "--out", str(path)]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert main(["topo", "--mesh", "3x3", "--metrics", "--out", str(path)]) == 0
+    lines += path.read_text(encoding="utf-8").splitlines()[1:]
+    capsys.readouterr()
     assert lines[0] == "n,topology,generatrices,diameter,avg_distance,edges"
     assert lines[1] == f"8,circulant,1 3,2,{10 / 7!r},16"
     assert lines[2] == "9,mesh,,4,2.0,12"
