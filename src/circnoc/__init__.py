@@ -6,20 +6,20 @@ memory and chip-resource cost of each approach.
 """
 
 from .analysis import (
-    DEFAULT_RESOURCE_MODEL,
+    RESOURCE_CURVES,
     CapacityReport,
     ChipProfile,
     CycleReport,
     EfficiencyReport,
     MemoryReport,
     QuadraticCost,
-    ResourceModel,
     adaptive_memory_bits,
     chip_capacity,
     clockwise_memory_bits,
     cycle_report,
     efficiency_k,
     memory_report,
+    payload_bits,
     resource_usage,
     route_cycle_count,
     table_memory_bits,
@@ -43,7 +43,6 @@ from .routing import (
     RouterConfig,
     RoutingTable,
     build_routing_table,
-    payload_bits,
     route_runs,
     trace_route,
 )
@@ -56,7 +55,6 @@ from .topology import (
     compare_topologies,
     formula_optimal_circulant,
     graph_to_dot,
-    graph_to_edge_csv,
     metrics,
     search_best_circulant2,
     search_best_ring_circulant,

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .routing import (
@@ -27,7 +27,6 @@ from .routing import (
     _check_node,
     _check_wraps,
     _scan,
-    payload_bits,
     route_runs,
 )
 from .topology import circulant_distance_profile
@@ -38,8 +37,7 @@ __all__ = [
     "MemoryReport",
     "CycleReport",
     "QuadraticCost",
-    "ResourceModel",
-    "DEFAULT_RESOURCE_MODEL",
+    "RESOURCE_CURVES",
     "ChipProfile",
     "CapacityReport",
     "efficiency_k",
@@ -48,6 +46,7 @@ __all__ = [
     "table_memory_bits",
     "clockwise_memory_bits",
     "adaptive_memory_bits",
+    "payload_bits",
     "memory_report",
     "resource_usage",
     "chip_capacity",
@@ -169,8 +168,11 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     return CycleReport(n=n, s2=s2, per_destination=tuple(per))
 
 
-def _ceil_log2(value: int) -> int:
-    return (value - 1).bit_length()
+def payload_bits(n: int) -> int:
+    """Head-flit address field width: ceil(log2(n)) bits, enough to name one of n."""
+    if n < 2:
+        raise ValidationError(f"need at least 2 nodes to address, got {n}")
+    return (n - 1).bit_length()
 
 
 def table_memory_bits(n: int, p: int = 4) -> int:
@@ -179,27 +181,23 @@ def table_memory_bits(n: int, p: int = 4) -> int:
         raise ValidationError(f"need at least 2 nodes, got {n}")
     if p < 2:
         raise ValidationError(f"need at least 2 ports, got {p}")
-    return n * n * _ceil_log2(p)
-
-
-def _generatrix_bits(n: int) -> int:
-    # Bits to store a value below n/2: ceil(log2(n/2)) == ceil(log2(n)) - 1,
-    # which also covers odd n where n/2 is fractional.
-    return _ceil_log2(n) - 1
+    return n * n * payload_bits(p)
 
 
 def clockwise_memory_bits(n: int) -> int:
     """Per-network clockwise storage: node count plus s2 in every router."""
     if n < 4:
         raise ValidationError(f"need at least 4 nodes, got {n}")
-    return n * (_ceil_log2(n) + _generatrix_bits(n))
+    # s2 is below n/2: ceil(log2(n/2)) == ceil(log2(n)) - 1 bits, which
+    # also covers odd n where n/2 is fractional.
+    return n * (2 * payload_bits(n) - 1)
 
 
 def adaptive_memory_bits(n: int) -> int:
     """Per-network adaptive storage: router id, node count, and s2."""
     if n < 4:
         raise ValidationError(f"need at least 4 nodes, got {n}")
-    return n * (2 * _ceil_log2(n) + _generatrix_bits(n))
+    return n * (3 * payload_bits(n) - 1)  # s2 as in clockwise_memory_bits
 
 
 def memory_report(n: int, p: int = 4) -> MemoryReport:
@@ -232,35 +230,25 @@ class QuadraticCost(namedtuple("QuadraticCost", "a0 a1 a2")):
         return self.a0 + self.a1 * x + self.a2 * x * x
 
 
-class ResourceModel(NamedTuple):
-    """Per-(algorithm, resource) quadratic cost curves."""
-
-    curves: Mapping[tuple[str, str], QuadraticCost]
-
-    def curve(self, algorithm: str, resource: str) -> QuadraticCost:
-        if algorithm not in ALGORITHMS:
-            raise ValidationError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if resource not in RESOURCES:
-            raise ValidationError(
-                f"unknown resource {resource!r}; expected one of {RESOURCES}"
-            )
-        return self.curves[(algorithm, resource)]
+# Fitted synthesis cost curves per (algorithm, resource), kept at three
+# decimals as published.  The adaptive register curve coincides with the
+# table one as printed.
+RESOURCE_CURVES = {
+    ("table", "alm"): QuadraticCost(-74.354, 15.537, 0.464),
+    ("table", "register"): QuadraticCost(1163.150, -9.069, 2.940),
+    ("clockwise", "alm"): QuadraticCost(-93.577, 22.553, 0.434),
+    ("clockwise", "register"): QuadraticCost(-43.664, 21.039, 0.270),
+    ("adaptive", "alm"): QuadraticCost(-6237.760, 684.297, 3.329),
+    ("adaptive", "register"): QuadraticCost(1163.150, -9.069, 2.940),
+}
 
 
-# Fitted synthesis cost constants, kept at three decimals as published.
-# The adaptive register curve coincides with the table one as printed.
-DEFAULT_RESOURCE_MODEL = ResourceModel(
-    curves={
-        ("table", "alm"): QuadraticCost(-74.354, 15.537, 0.464),
-        ("table", "register"): QuadraticCost(1163.150, -9.069, 2.940),
-        ("clockwise", "alm"): QuadraticCost(-93.577, 22.553, 0.434),
-        ("clockwise", "register"): QuadraticCost(-43.664, 21.039, 0.270),
-        ("adaptive", "alm"): QuadraticCost(-6237.760, 684.297, 3.329),
-        ("adaptive", "register"): QuadraticCost(1163.150, -9.069, 2.940),
-    }
-)
+def _curve(algorithm: str, resource: str) -> QuadraticCost:
+    if algorithm not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if resource not in RESOURCES:
+        raise ValidationError(f"unknown resource {resource!r}; expected one of {RESOURCES}")
+    return RESOURCE_CURVES[(algorithm, resource)]
 
 
 class ChipProfile(
@@ -301,7 +289,7 @@ class CapacityReport(NamedTuple):
         return json.dumps(self._asdict())
 
 
-def resource_usage(model: ResourceModel, algorithm: str, resource: str, x: int) -> float:
+def resource_usage(algorithm: str, resource: str, x: int) -> float:
     """Estimated resource units consumed by an x-router network.
 
     Small x may evaluate negative; the regression is reported as-is.
@@ -309,7 +297,7 @@ def resource_usage(model: ResourceModel, algorithm: str, resource: str, x: int) 
     if x < 1:
         raise ValidationError(f"router count must be >= 1, got {x}")
     try:
-        value = model.curve(algorithm, resource).usage(x)
+        value = _curve(algorithm, resource).usage(x)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -317,11 +305,7 @@ def resource_usage(model: ResourceModel, algorithm: str, resource: str, x: int) 
     return value
 
 
-def chip_capacity(
-    model: ResourceModel,
-    algorithm: str,
-    profile: ChipProfile = ChipProfile(),
-) -> CapacityReport:
+def chip_capacity(algorithm: str, profile: ChipProfile = ChipProfile()) -> CapacityReport:
     """Largest router count whose ALM and register usage both fit the budget.
 
     Each curve opens upward, so the counts that fit form an interval; when
@@ -329,8 +313,8 @@ def chip_capacity(
     bisection then finds the first one, H + 1, whose worst-overrun resource
     is reported as binding.  No feasible count yields zero.
     """
-    alm_curve = model.curve(algorithm, "alm")
-    reg_curve = model.curve(algorithm, "register")
+    alm_curve = _curve(algorithm, "alm")
+    reg_curve = _curve(algorithm, "register")
     alm_budget = profile.budget_fraction * profile.alm_total
     reg_budget = profile.budget_fraction * profile.reg_total
 

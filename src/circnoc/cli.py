@@ -122,8 +122,12 @@ def _cmd_topo(args) -> int:
             row = (topo.n, kind, gens, m.diameter, m.avg_distance, m.edge_count)
             print(_write(args.out, harness._render_csv(_METRICS_COLUMNS, [row])))
     elif args.out:
-        export = topology.graph_to_dot if args.format == "dot" else topology.graph_to_edge_csv
-        print(_write(args.out, export(topo)))
+        if args.format == "dot":
+            text = topology.graph_to_dot(topo)
+        else:
+            topology._n_entry_list(topo.n, "node list")  # refuse a topology too large to list
+            text = harness._render_csv(("u", "v"), topo.edges())
+        print(_write(args.out, text))
     return 0
 
 
@@ -211,10 +215,8 @@ def _cmd_memory(args) -> int:
 
 
 def _cmd_resources(args) -> int:
-    alm = analysis.resource_usage(analysis.DEFAULT_RESOURCE_MODEL, args.algorithm, "alm", args.x)
-    reg = analysis.resource_usage(
-        analysis.DEFAULT_RESOURCE_MODEL, args.algorithm, "register", args.x
-    )
+    alm = analysis.resource_usage(args.algorithm, "alm", args.x)
+    reg = analysis.resource_usage(args.algorithm, "register", args.x)
     print(f"{args.algorithm} at x = {args.x}: ALM = {alm:.1f}, registers = {reg:.1f}")
     return 0
 
@@ -225,7 +227,7 @@ def _cmd_capacity(args) -> int:
         reg_total=args.reg_total,
         budget_fraction=args.budget,
     )
-    report = analysis.chip_capacity(analysis.DEFAULT_RESOURCE_MODEL, args.algorithm, profile)
+    report = analysis.chip_capacity(args.algorithm, profile)
     print(
         f"{args.algorithm}: max routers = {report.max_routers} "
         f"(binding resource: {report.binding_resource}, "
@@ -244,7 +246,6 @@ def _cmd_figure(args) -> int:
     config = harness.ExperimentConfig(
         figure=args.id,
         values=values,
-        selection=args.selection,
         mode=_mode_from(args),
         out_format=args.format or ("json" if args.id == "capacity" else "csv"),
     )
@@ -355,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="regenerate a dataset")
     p.add_argument("--id", choices=harness.FIGURES, required=True)
     p.add_argument("--values", help="value range, A..B or comma list")
-    p.add_argument("--selection", choices=sorted(topology.SELECTION_RULES), default="best_ring")
     p.add_argument("--out", help="artifact path")
     p.add_argument("--format", choices=("csv", "json"))
     _add_mode_flags(p)

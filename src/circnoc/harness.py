@@ -18,9 +18,7 @@ from collections import namedtuple
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .analysis import (
-    DEFAULT_RESOURCE_MODEL,
     CapacityReport,
-    ChipProfile,
     MemoryReport,
     chip_capacity,
     cycle_report,
@@ -172,23 +170,15 @@ def _rows_memory(config: ExperimentConfig) -> list[tuple]:
 
 
 def _rows_resources(config: ExperimentConfig) -> list[tuple]:
-    rows = []
-    for x in sorted(set(config.values)):
-        for algorithm in ALGORITHMS:
-            rows.append(
-                (
-                    x,
-                    algorithm,
-                    resource_usage(DEFAULT_RESOURCE_MODEL, algorithm, "alm", x),
-                    resource_usage(DEFAULT_RESOURCE_MODEL, algorithm, "register", x),
-                )
-            )
-    return rows
+    return [
+        (x, a, resource_usage(a, "alm", x), resource_usage(a, "register", x))
+        for x in sorted(set(config.values))
+        for a in ALGORITHMS
+    ]
 
 
 def _rows_capacity(config: ExperimentConfig) -> list[tuple]:
-    profile = ChipProfile()
-    return [chip_capacity(DEFAULT_RESOURCE_MODEL, a, profile) for a in ALGORITHMS]
+    return [chip_capacity(algorithm) for algorithm in ALGORITHMS]
 
 
 class FigureSpec(NamedTuple):

@@ -43,7 +43,6 @@ __all__ = [
     "AS_PRINTED",
     "RoutingTable",
     "RouteTrace",
-    "payload_bits",
     "build_routing_table",
     "route_runs",
     "trace_route",
@@ -213,13 +212,6 @@ class RouteTrace(NamedTuple):
 def _check_node(value: int, n: int, name: str) -> None:
     if not 0 <= value < n:
         raise ValidationError(f"{name} {value} out of range [0, {n})")
-
-
-def payload_bits(n: int) -> int:
-    """Head-flit address field width: ceil(log2(n)) bits."""
-    if n < 2:
-        raise ValidationError(f"need at least 2 nodes to address, got {n}")
-    return (n - 1).bit_length()
 
 
 def _shortest_port(profile: tuple[int, ...], steps: tuple[int, int, int, int], offset: int, n: int) -> int:

@@ -31,7 +31,6 @@ __all__ = [
     "search_best_circulant2",
     "compare_topologies",
     "graph_to_dot",
-    "graph_to_edge_csv",
 ]
 
 # The largest n a ring search walks, as ``routing.WRAP_BUDGET`` bounds a
@@ -631,13 +630,4 @@ def graph_to_dot(topology: CirculantSpec | GridSpec) -> str:
     for u, v in topology.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_edge_csv(topology: CirculantSpec | GridSpec) -> str:
-    """Render a topology's undirected edge list as CSV with header ``u,v``."""
-    _n_entry_list(topology.n, "node list")  # refuse a topology too large to list
-    lines = ["u,v"]
-    for u, v in topology.edges():
-        lines.append(f"{u},{v}")
     return "\n".join(lines) + "\n"

@@ -245,15 +245,15 @@ def ref_adaptive_delta(start, end, cfg, mode):
     return -(cfg.s1 if unit_left else cfg.s2)
 
 
-def ref_chip_capacity(model, algorithm, profile):
+def ref_chip_capacity(curves, algorithm, profile):
     """Chip capacity by an upward linear scan over router counts.
 
     The first count at which either resource overruns its budget ends the
     scan; its worst-overrun resource binds.  Returns (max_routers,
     binding_resource, alm_used, reg_used), the usage taken at
-    max(max_routers, 1).
+    max(max_routers, 1).  ``curves`` maps (algorithm, resource) to a cost curve.
     """
-    curves = {r: model.curve(algorithm, r) for r in ("alm", "register")}
+    curves = {r: curves[(algorithm, r)] for r in ("alm", "register")}
     budgets = {
         "alm": profile.budget_fraction * profile.alm_total,
         "register": profile.budget_fraction * profile.reg_total,

@@ -112,7 +112,7 @@ def test_criterion_6_chip_capacity():
     with criterion(6, "default chip budget fits 275/278/53 routers (+-2), ALM-bound", 1.0):
         expected = {"table": 275, "clockwise": 278, "adaptive": 53}
         for algorithm, target in expected.items():
-            report = cn.chip_capacity(cn.DEFAULT_RESOURCE_MODEL, algorithm)
+            report = cn.chip_capacity(algorithm)
             assert abs(report.max_routers - target) <= 2, (algorithm, report.max_routers)
             assert report.binding_resource == "alm", algorithm
 

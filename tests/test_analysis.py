@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circnoc.analysis import (
-    DEFAULT_RESOURCE_MODEL,
+    RESOURCE_CURVES,
     ChipProfile,
     CycleReport,
     QuadraticCost,
-    ResourceModel,
     adaptive_memory_bits,
     chip_capacity,
     clockwise_memory_bits,
@@ -238,37 +237,39 @@ def test_memory_report_and_csv():
 
 def test_resource_usage_table_alm_at_275():
     # -74.354 + 15.537 * 275 + 0.464 * 275**2
-    value = resource_usage(DEFAULT_RESOURCE_MODEL, "table", "alm", 275)
+    value = resource_usage("table", "alm", 275)
     assert value == pytest.approx(39288.321, abs=1e-6)
 
 
 def test_resource_usage_adaptive_alm_at_53():
-    value = resource_usage(DEFAULT_RESOURCE_MODEL, "adaptive", "alm", 53)
+    value = resource_usage("adaptive", "alm", 53)
     assert value == pytest.approx(39381.142, abs=1e-6)
 
 
 def test_register_curves_table_and_adaptive_coincide():
-    assert (
-        DEFAULT_RESOURCE_MODEL.curve("table", "register")
-        == DEFAULT_RESOURCE_MODEL.curve("adaptive", "register")
-    )
+    assert RESOURCE_CURVES[("table", "register")] == RESOURCE_CURVES[("adaptive", "register")]
     for x in (1, 10, 100, 300):
-        assert resource_usage(DEFAULT_RESOURCE_MODEL, "table", "register", x) == resource_usage(
-            DEFAULT_RESOURCE_MODEL, "adaptive", "register", x
-        )
+        assert resource_usage("table", "register", x) == resource_usage("adaptive", "register", x)
 
 
 def test_resource_usage_can_be_negative_for_tiny_networks():
-    assert resource_usage(DEFAULT_RESOURCE_MODEL, "adaptive", "alm", 1) < 0
+    assert resource_usage("adaptive", "alm", 1) < 0
 
 
 def test_resource_usage_validation():
     with pytest.raises(ValidationError):
-        resource_usage(DEFAULT_RESOURCE_MODEL, "table", "alm", 0)
-    with pytest.raises(ValidationError):
-        resource_usage(DEFAULT_RESOURCE_MODEL, "table", "bram", 5)
-    with pytest.raises(ValidationError):
-        resource_usage(DEFAULT_RESOURCE_MODEL, "zigzag", "alm", 5)
+        resource_usage("table", "alm", 0)
+    with pytest.raises(
+        ValidationError, match=r"^unknown resource 'bram'; expected one of \('alm', 'register'\)$"
+    ):
+        resource_usage("table", "bram", 5)
+    with pytest.raises(
+        ValidationError,
+        match=r"^unknown algorithm 'zigzag'; expected one of \('table', 'clockwise', 'adaptive'\)$",
+    ):
+        resource_usage("zigzag", "alm", 5)
+    with pytest.raises(ValidationError, match=r"^unknown algorithm 'zigzag'"):
+        chip_capacity("zigzag")
 
 
 # --- chip capacity -------------------------------------------------------------------
@@ -286,19 +287,19 @@ def test_chip_profile_defaults_and_validation():
 
 @pytest.mark.parametrize("algorithm, expected", [("table", 276), ("clockwise", 278), ("adaptive", 53)])
 def test_chip_capacity_default_profile(algorithm, expected):
-    report = chip_capacity(DEFAULT_RESOURCE_MODEL, algorithm)
+    report = chip_capacity(algorithm)
     assert report.max_routers == expected
     assert report.binding_resource == "alm"
     budget_alm = 0.35 * 113560
     budget_reg = 0.35 * 12492800
     assert report.alm_used <= budget_alm
     assert report.reg_used <= budget_reg
-    over = resource_usage(DEFAULT_RESOURCE_MODEL, algorithm, "alm", expected + 1)
+    over = resource_usage(algorithm, "alm", expected + 1)
     assert over > budget_alm
 
 
 def test_chip_capacity_json_schema():
-    payload = json.loads(chip_capacity(DEFAULT_RESOURCE_MODEL, "adaptive").to_json())
+    payload = json.loads(chip_capacity("adaptive").to_json())
     assert list(payload) == [
         "algorithm", "alm_total", "reg_total", "budget_fraction",
         "max_routers", "binding_resource", "alm_used", "reg_used",
@@ -308,14 +309,12 @@ def test_chip_capacity_json_schema():
 
 
 def test_chip_capacity_smaller_budget_fits_fewer_routers():
-    tight = chip_capacity(DEFAULT_RESOURCE_MODEL, "table", ChipProfile(budget_fraction=0.3))
+    tight = chip_capacity("table", ChipProfile(budget_fraction=0.3))
     assert tight.max_routers < 276
 
 
 def test_chip_capacity_infeasible_reports_zero():
-    report = chip_capacity(
-        DEFAULT_RESOURCE_MODEL, "table", ChipProfile(alm_total=113560, reg_total=100)
-    )
+    report = chip_capacity("table", ChipProfile(alm_total=113560, reg_total=100))
     assert report.max_routers == 0
     assert report.binding_resource == "register"
 
@@ -330,9 +329,9 @@ def test_chip_capacity_matches_linear_scan():
     ]
     for algorithm in ("table", "clockwise", "adaptive"):
         for profile in profiles:
-            report = chip_capacity(DEFAULT_RESOURCE_MODEL, algorithm, profile)
+            report = chip_capacity(algorithm, profile)
             got = (report.max_routers, report.binding_resource, report.alm_used, report.reg_used)
-            assert got == ref_chip_capacity(DEFAULT_RESOURCE_MODEL, algorithm, profile), (
+            assert got == ref_chip_capacity(RESOURCE_CURVES, algorithm, profile), (
                 algorithm, profile,
             )
 
@@ -346,16 +345,14 @@ def test_quadratic_cost_must_open_upward(coefficients):
         QuadraticCost(*coefficients)
 
 
-def test_custom_resource_model():
+def test_custom_resource_model(monkeypatch):
     # alm = x + (x - 7)(x - 10) / 8: 7 at x = 7, 10 at x = 10, 11.5 at x = 11
-    model = ResourceModel(
-        curves={
-            ("table", "alm"): QuadraticCost(8.75, -1.125, 0.125),
-            ("table", "register"): QuadraticCost(0.0, 2.0, 0.125),
-        }
-    )
-    assert resource_usage(model, "table", "alm", 7) == 7.0
-    report = chip_capacity(model, "table", ChipProfile(alm_total=10, reg_total=1000, budget_fraction=1.0))
+    monkeypatch.setattr(analysis, "RESOURCE_CURVES", {
+        ("table", "alm"): QuadraticCost(8.75, -1.125, 0.125),
+        ("table", "register"): QuadraticCost(0.0, 2.0, 0.125),
+    })
+    assert resource_usage("table", "alm", 7) == 7.0
+    report = chip_capacity("table", ChipProfile(alm_total=10, reg_total=1000, budget_fraction=1.0))
     assert report.max_routers == 10
     assert report.binding_resource == "alm"
 

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from circnoc import routing, topology
-from circnoc.analysis import DEFAULT_RESOURCE_MODEL, chip_capacity
+from circnoc import analysis, routing, topology
+from circnoc.analysis import chip_capacity
 from circnoc.cli import build_parser, main
+from circnoc.errors import ValidationError
 from circnoc.harness import ExperimentConfig, run_experiment
 from circnoc.routing import RouterConfig, build_routing_table, trace_route
 
@@ -363,6 +364,15 @@ def test_removed_fuzz_limit_flag_exits_one(capsys):
     assert "unrecognized arguments: --hop-limit-factor 2" in err
 
 
+def test_figure_selection_flag_is_a_usage_error(capsys):
+    # `compare --selection` is the one way to pick the circulant family
+    code, out, err = run(capsys, "figure", "--id", "topology_metrics", "--selection", "best_ring")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: ") and "unrecognized arguments: --selection best_ring" in err
+    assert "Traceback" not in err
+
+
 def test_compare_prints_rows_and_writes_csv(capsys, tmp_path):
     path = tmp_path / "cmp.csv"
     code, out, _ = run(capsys, "compare", "--sides", "3..5", "--out", str(path))
@@ -401,6 +411,42 @@ def test_comparison_artifacts_match_pinned_bytes(capsys, tmp_path, argv, key):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
+# Artifacts whose writers were folded into others, pinned to their former
+# bytes: `compare` under the two other selection rules writes what
+# `figure --id topology_metrics --selection` wrote, the edge list is rendered
+# by `harness._render_csv`, and capacity reads the curves from a plain dict.
+REROUTED_SHA256 = {
+    "compare --sides 3..12 --selection formula_eq1 --format csv":
+        "7ac12c209a3dd4ee73e7162a3eeeab781dc16469183b66d902a408aba86ef5f5",
+    "compare --sides 3..12 --selection formula_eq1 --format json":
+        "3f5e997e2a51f014066e05d968be9592ed09df466e4dde0675e8a36939142556",
+    "compare --sides 3..12 --selection best_general --format csv":
+        "8bddbb445110c8f2eff7e10cda150f8f51e45d70b1926781c904b3316cf7fdf0",
+    "compare --sides 3..12 --selection best_general --format json":
+        "632126237d696259c2bd9503f6aad0ab69429a909e357bb99910914085f1e91f",
+    "topo --circulant 16,1,3,5 --format csv":
+        "df6af7b7850f82273375832817011d6cfc6b171f0ca517ebb5a7f110dc6a796a",
+    "topo --mesh 3x4 --format csv":
+        "2a3e72851aadd9aa5c28185179d6934f51c9d3b43612a07936efc9941b96433a",
+    "topo --torus 3x3 --format csv":
+        "cb2205694b30d3640e52dc7f24c25ed20c47a8e6a549683d4c476cdb54049e7f",
+    "capacity --algorithm table":
+        "8b3ecdaaaf50ea3c27f7e487313c74df94d58d600727502a6038f3b452829adc",
+    "capacity --algorithm clockwise":
+        "cf7553ac55b1ac4b7d90362e1871604b64a1b33a5696a17246a07e1b31e19ecb",
+    "capacity --algorithm adaptive":
+        "ac2bd8999c58eddca09a469144ede49c45d3167a9f0ab67640f4028ceac87153",
+}
+
+
+@pytest.mark.parametrize("command", REROUTED_SHA256)
+def test_rerouted_artifacts_keep_their_pinned_bytes(capsys, tmp_path, command):
+    path = tmp_path / "artifact"
+    code, _, _ = run(capsys, *command.split(), "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REROUTED_SHA256[command]
+
+
 def test_efficiency_reports_k(capsys):
     code, out, _ = run(
         capsys, "efficiency", "--circulant", "16,1,7", "--algorithm", "clockwise"
@@ -437,6 +483,12 @@ def test_resources_command(capsys):
     code, out, _ = run(capsys, "resources", "--algorithm", "table", "--x", "275")
     assert code == 0
     assert "ALM = 39288.3" in out
+    for algorithm, line in [
+        ("table", "table at x = 275: ALM = 39288.3, registers = 221006.7\n"),
+        ("clockwise", "clockwise at x = 275: ALM = 38929.7, registers = 26160.8\n"),
+        ("adaptive", "adaptive at x = 275: ALM = 433699.5, registers = 221006.7\n"),
+    ]:
+        assert run(capsys, "resources", "--algorithm", algorithm, "--x", "275") == (0, line, "")
 
 
 def test_capacity_command(capsys, tmp_path):
@@ -445,7 +497,7 @@ def test_capacity_command(capsys, tmp_path):
     assert code == 0
     assert "max routers = 53" in out
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload == json.loads(chip_capacity(DEFAULT_RESOURCE_MODEL, "adaptive").to_json())
+    assert payload == json.loads(chip_capacity("adaptive").to_json())
 
 
 def test_capacity_with_huge_totals_bisects(capsys):
@@ -632,6 +684,24 @@ def test_refused_input_exits_one_with_one_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unexpected_exception_exits_two_with_its_traceback(capsys, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("memory model broke")
+
+    monkeypatch.setattr(analysis, "memory_report", fail)
+    code, out, err = run(capsys, "memory", "--n", "8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: memory model broke\n")
+
+    def refuse(*args):
+        raise ValidationError("memory refused")
+
+    monkeypatch.setattr(analysis, "memory_report", refuse)
+    assert run(capsys, "memory", "--n", "8") == (1, "", "error: memory refused\n")
 
 
 def test_main_builds_the_parser_once(capsys):

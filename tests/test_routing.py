@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circnoc import routing
+from circnoc.analysis import payload_bits
 from circnoc.cli import main
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.routing import (
@@ -20,7 +21,6 @@ from circnoc.routing import (
     AdaptiveMode,
     RouterConfig,
     build_routing_table,
-    payload_bits,
     route_runs,
     trace_route,
 )

@@ -16,7 +16,6 @@ from circnoc.topology import (
     compare_topologies,
     formula_optimal_circulant,
     graph_to_dot,
-    graph_to_edge_csv,
     metrics,
     search_best_circulant2,
     search_best_ring_circulant,
@@ -766,16 +765,23 @@ def test_graph_to_dot():
     assert text.rstrip().endswith("}")
 
 
-def test_graph_to_edge_csv():
-    text = graph_to_edge_csv(GridSpec("mesh", 1, 3))
-    assert text == "u,v\n0,1\n1,2\n"
+def edge_csv(tmp_path, capsys, flag, value):
+    """The ``topo --format csv`` edge list, which ``harness._render_csv`` renders."""
+    path = tmp_path / "edges.csv"
+    assert main(["topo", flag, value, "--format", "csv", "--out", str(path)]) == 0
+    capsys.readouterr()
+    return path.read_text(encoding="utf-8")
 
 
-def test_exports_keep_their_pinned_texts():
-    assert graph_to_edge_csv(CirculantSpec(8, (1, 4))) == (
+def test_graph_to_edge_csv(tmp_path, capsys):
+    assert edge_csv(tmp_path, capsys, "--mesh", "1x3") == "u,v\n0,1\n1,2\n"
+
+
+def test_exports_keep_their_pinned_texts(tmp_path, capsys):
+    assert edge_csv(tmp_path, capsys, "--circulant", "8,1,4") == (
         "u,v\n0,1\n0,4\n0,7\n1,2\n1,5\n2,3\n2,6\n3,4\n3,7\n4,5\n5,6\n6,7\n"
     )
-    assert graph_to_edge_csv(GridSpec("torus", 3, 3)) == (
+    assert edge_csv(tmp_path, capsys, "--torus", "3x3") == (
         "u,v\n0,1\n0,2\n0,3\n0,6\n1,2\n1,4\n1,7\n2,5\n2,8\n"
         "3,4\n3,5\n3,6\n4,5\n4,7\n5,8\n6,7\n6,8\n7,8\n"
     )
