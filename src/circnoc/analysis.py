@@ -29,7 +29,7 @@ from .routing import (
     _scan,
     route_runs,
 )
-from .topology import circulant_distance_profile
+from .topology import _ring_floor, _ring_key, circulant_distance_profile
 
 __all__ = [
     "RESOURCES",
@@ -146,10 +146,27 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     from ``_check_wraps``, ((d + 1) s2 - 1 - base) // n with d at most the
     diameter D, so the n // 2 pairs of scans walk at most about (D + 1) s2
     wraps in all; a ring above ``WRAP_BUDGET`` is refused before the first.
+    The ring's lattice floor (``_ring_floor``) bounds D from below in
+    O(log n) steps, so a ring it already puts over the budget is refused
+    before its profile is built, with D read from the tents (``_ring_key``)
+    under a bound doubled from that floor until D fits it.  The tents are
+    laid only while the bound is within sqrt(n), so they stay far fewer
+    than the profile's n entries; past it the profile gives D.
     """
     n, s2 = cfg.n, cfg.s2
-    profile = circulant_distance_profile(n, (cfg.s1, s2))
-    wraps = (max(profile) + 1) * s2
+    bound = _ring_floor(n, s2, n)[0]
+    diameter = None
+    if (bound + 1) * s2 > WRAP_BUDGET:  # refused whatever D is
+        while bound * bound <= n:
+            key_diameter = _ring_key(n, s2, bound)[0]
+            if key_diameter <= bound:
+                diameter = key_diameter
+                break
+            bound *= 2
+    if diameter is None:
+        profile = circulant_distance_profile(n, (cfg.s1, s2))
+        diameter = max(profile)
+    wraps = (diameter + 1) * s2
     if wraps > WRAP_BUDGET:
         raise ValidationError(
             f"the wrap-count scans of {cfg} need up to {wraps} ring wraps, "

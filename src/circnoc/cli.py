@@ -88,8 +88,15 @@ def _max_cycles(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected an integer or 'none', got {text!r}") from None
 
 
+def _mode_flags(args) -> dict:
+    """The ``--mode`` and ``--max-cycles`` given, by ``AdaptiveMode`` field name."""
+    given = vars(args)
+    return {field: given[field] for field in routing.AdaptiveMode._fields if field in given}
+
+
 def _mode_from(args) -> routing.AdaptiveMode:
-    return routing.AdaptiveMode(variant=args.mode, max_cycles=args.max_cycles)
+    """The adaptive mode of the flags given; ``AdaptiveMode`` defaults the rest."""
+    return routing.AdaptiveMode(**_mode_flags(args))
 
 
 def _router_cfg(args) -> routing.RouterConfig:
@@ -239,6 +246,11 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    if args.id != "efficiency" and _mode_flags(args):
+        raise ValidationError(
+            f"figure {args.id!r} has no adaptive mode; "
+            "--mode and --max-cycles apply only to efficiency"
+        )
     if args.values is None:
         values = harness.FIGURE_SPECS[args.id].default_values
     else:
@@ -276,13 +288,15 @@ def _cmd_fuzz(args) -> int:
 
 
 def _add_mode_flags(parser) -> None:
+    # unset flags stay out of the namespace, so a figure can tell them apart
     parser.add_argument(
-        "--mode", choices=routing.ADAPTIVE_VARIANTS, default="corrected",
-        help="adaptive candidate-scan variant",
+        "--mode", choices=routing.ADAPTIVE_VARIANTS, default=argparse.SUPPRESS, dest="variant",
+        help="adaptive candidate-scan variant (default corrected)",
     )
     parser.add_argument(
-        "--max-cycles", type=_max_cycles, default=2, dest="max_cycles",
-        help="wrap bound of the adaptive candidate scan; 'none' scans until no wrap can improve",
+        "--max-cycles", type=_max_cycles, default=argparse.SUPPRESS, dest="max_cycles",
+        help="wrap bound of the adaptive candidate scan (default 2); "
+        "'none' scans until no wrap can improve",
     )
 
 

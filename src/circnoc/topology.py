@@ -461,33 +461,54 @@ def _ring_floor(n: int, t: int, bound: int) -> tuple[int, int]:
     return d, d * n - a * (2 * a * a + 1) // 3 - (d - a) * ((lam + c) * (d + a) - drop) // 2
 
 
+def _ring_candidates(n: int) -> Iterator[int]:
+    """The t in 2 .. (n - 1) // 2 whose multiplier twin does not come first.
+
+    The twin of a unit t is ``min(a, n - a)`` with ``a = t**-1 mod n``:
+    multiplying every label by a maps C(n; 1, t) onto C(n; a, 1) (Adam's
+    isomorphism), so the two have one key.
+    """
+    for t in range(2, (n - 1) // 2 + 1):
+        if math.gcd(t, n) == 1:
+            a = pow(t, -1, n)
+            if min(a, n - a) < t:
+                continue
+        yield t
+
+
 @lru_cache(maxsize=None)
 def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
     """Second generatrix and (diameter, total distance) of the best C(n; 1, t).
 
-    The walk and its shortcuts are those of ``search_best_ring_circulant``.
-    The twin of a unit t is ``min(a, n - a)`` with ``a = t**-1 mod n``:
-    multiplying every label by a maps C(n; 1, t) onto C(n; a, 1) (Adam's
-    isomorphism), so the two have one key.  A t whose ``_ring_floor`` is
-    not below the best key could at best tie; the first bound ``(cap, inf)``
-    still admits a ring of diameter cap.  A skipped t costs O(log n) steps,
-    so the walk is O(n log n) besides the tents of the t it keys.
+    The walks and their shortcuts are those of ``search_best_ring_circulant``.
+    A t whose ``_ring_floor`` is not below the best key could at best tie.
+    The floor's bound only caps its diameter at bound + 1, so a floor read
+    within D + 1, (D, T) the layer floor, makes the same choices under
+    any best key up to ``(D + 1, inf)``.  So the first walk, from
+    ``(D, T + 1)``, reads each t's floor once: it keys a t within bound D
+    only if that floor is the layer floor, and it keeps every t whose
+    floor comes within D + 1 for the second walk, from ``(D + 1, inf)``.
+    The third, from ``(n // 2, inf)``, reads every floor again.  A skipped
+    t costs O(log n) steps, so a walk is O(n log n) besides the tents of
+    the t it keys.
     """
     floor = _layer_floor(n)
-    for cap in (floor[0] + 1, n // 2):
-        best_t, best_key = 0, (cap, math.inf)
-        for t in range(2, (n - 1) // 2 + 1):
-            if math.gcd(t, n) == 1:
-                a = pow(t, -1, n)
-                if min(a, n - a) < t:
-                    continue
-            if _ring_floor(n, t, best_key[0]) >= best_key:
-                continue
-            key = _ring_key(n, t, best_key[0])
-            if key < best_key:
-                best_t, best_key = t, key
-                if key == floor:
-                    break
+    cap = (floor[0] + 1, math.inf)
+    near = []
+    for t in _ring_candidates(n):
+        lower = _ring_floor(n, t, cap[0])
+        if lower < cap:
+            if lower == floor and _ring_key(n, t, floor[0]) == floor:
+                return t, floor
+            near.append((t, lower))
+    bare = ((t, _ring_floor(n, t, n // 2)) for t in _ring_candidates(n))
+    for start, walk in ((cap, near), ((n // 2, math.inf), bare)):
+        best_t, best_key = 0, start
+        for t, lower in walk:
+            if lower < best_key:
+                key = _ring_key(n, t, best_key[0])
+                if key < best_key:
+                    best_t, best_key = t, key
         if best_t:
             return best_t, best_key
 
@@ -499,18 +520,26 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
     s2 in [2, ceil(n/2) - 1]; ties go to the smallest s2.  Each candidate's
     key is the lower envelope of its tents (``_ring_key``) laid up to the
     best diameter found so far, so one beyond that bound loses as it
-    should.  The walk (``_best_ring``) goes over s2 in increasing order and
-    replaces the best only on a strict improvement.  The bound starts one
-    above the layer floor's diameter; only if no ring comes within it,
-    which happens at no n = 5..1499, is the walk run again from the bare
-    ring's diameter n // 2, which no C(n; 1, s2) exceeds.
+    should.  Each walk (``_best_ring``) goes over s2 in increasing order
+    and replaces the best only on a strict improvement, from one of three
+    start keys in turn, each tried only if the one before found no ring.
 
-    No key is below ``_layer_floor(n)`` (no layer holds more than 4d nodes
-    at distance d), and the walk stops once the best reaches it.  It skips
-    a unit s2 whose multiplier twin comes earlier, and an s2 whose lattice
-    floor (``_ring_floor``, that count sharpened by the shortest vector of
-    its own lattice) is not below the best key.  Such a candidate could at
-    best tie, so the winner and its tie-break are those of the full walk.
+    No key is below ``_layer_floor(n)`` = (D, T) (no layer holds more than
+    4d nodes at distance d).  The first walk starts from ``(D, T + 1)``,
+    so only a ring at the floor can beat its start: it keys only an s2
+    whose lattice floor is the layer floor, within bound D, and the first
+    that meets the floor wins.  That is exact, because the full walk's
+    winner is the first s2 at the least key, and none is below the floor.
+    Only if no ring meets the floor (21 of the 205 sizes of the paper's
+    sweeps) does the second walk run from ``(D + 1, inf)``, over the s2
+    whose lattice floors the first walk found within D + 1; and only if
+    no ring comes within D + 1, which happens at no n = 5..1499, the third
+    from the bare ring's diameter n // 2, which no C(n; 1, s2) exceeds.
+    Each walk skips a unit s2 whose multiplier twin comes earlier, and an
+    s2 whose lattice floor (``_ring_floor``, that count sharpened by the
+    shortest vector of its own lattice) is not below the best key.  Such a
+    candidate could at best tie, so the winner and its tie-break are those
+    of the full walk.
     The result depends on n alone, so each n is searched once per process.
     An n above ``RING_BUDGET`` raises ``ValidationError`` before any tent
     is laid.

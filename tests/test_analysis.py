@@ -160,6 +160,24 @@ def test_cycle_report_refuses_a_ring_over_the_budget_before_its_first_scan(monke
         cycle_report(C100)
 
 
+def test_cycle_report_refuses_by_the_lattice_floor_before_any_profile(monkeypatch):
+    # a ring whose lattice floor is already over the budget builds no
+    # profile; its message still names the exact (D + 1) s2 of its tents
+    monkeypatch.setattr(analysis, "circulant_distance_profile", None)
+    message = "^the wrap-count scans of C\\(1000000; 1, 398018\\) need up to 281796744 ring wraps"
+    with pytest.raises(ValidationError, match=message):
+        cycle_report(RouterConfig(10**6, 1, 398018))
+    monkeypatch.undo()
+    # every floor is over a budget of 0; a ring of diameter above sqrt(n)
+    # reads it from the profile, and either way the message is exact
+    monkeypatch.setattr(analysis, "WRAP_BUDGET", 0)
+    for n in range(5, 61):
+        for s2 in ring_s2_values(n):
+            wraps = (max(ref_ring_profile(n, s2)) + 1) * s2
+            with pytest.raises(ValidationError, match=f"need up to {wraps} ring wraps, above the budget of 0$"):
+                cycle_report(RouterConfig(n, 1, s2))
+
+
 def test_realized_adaptive_wraps_bound_arithmetic_minimum():
     # the candidate scan's counter-clockwise tie preference may realize a
     # wrapped shortest route where an unwrapped one exists, never the

@@ -331,6 +331,30 @@ def test_printed_adaptive_livelock_in_figure_exits_one(capsys):
     )
 
 
+@pytest.mark.parametrize("figure", ["topology_metrics", "cycles", "memory", "resources", "capacity"])
+@pytest.mark.parametrize("flags", [("--mode", "printed"), ("--max-cycles", "none"), ("--mode", "corrected")])
+def test_figure_mode_flags_outside_efficiency_exit_one(capsys, figure, flags):
+    code, out, err = run(capsys, "figure", "--id", figure, *flags)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: figure {figure!r} has no adaptive mode; "
+        "--mode and --max-cycles apply only to efficiency\n"
+    )
+
+
+def test_efficiency_figure_still_reads_its_mode_flags(capsys):
+    code, out, _ = run(
+        capsys, "figure", "--id", "efficiency", "--values", "9,16", "--mode", "printed",
+        "--max-cycles", "none",
+    )
+    assert code == 0
+    assert "9,2,adaptive,1.6666666666666667\n" in out
+    code, out, _ = run(capsys, "figure", "--id", "efficiency", "--values", "9", "--mode", "corrected")
+    assert code == 0
+    assert "9,2,adaptive,1.0\n" in out
+
+
 def test_route_hop_limit_exhaustion_exits_one(capsys):
     # livelocks are proven by a repeated run start, so route takes no hop limit;
     # the 6-hop route that a limit of 2 once cut short is routed in full

@@ -307,9 +307,12 @@ def test_ring_search_stops_at_the_floor_and_skips_multiplier_twins(monkeypatch):
     monkeypatch.setattr(topology, "_ring_key", lambda n, t, bound: keyed.append((t, bound)) or ring_key(n, t, bound))
     _best_ring.cache_clear()
     assert _best_ring(2025) == (197, _layer_floor(2025))
-    assert len(keyed) == 8  # the lattice floor rules out 175 of the 183 t it reaches
-    assert max(t for t, _ in keyed) == 197
-    assert max(bound for _, bound in keyed) <= _layer_floor(2025)[0] + 1  # the walk is capped at the floor
+    # the first walk keys only a t whose lattice floor is the layer floor,
+    # within its diameter D; the lattice floor rules out 182 of the 183 t
+    # it reaches, and the one it keys meets the floor
+    assert len(keyed) == 1
+    assert keyed[0][0] == 197
+    assert all(bound == _layer_floor(2025)[0] for _, bound in keyed)
     for t, bound in keyed:  # no t it keys has a stride too short to reach n // 2 within the bound
         assert -(-(2025 // 2) // t) <= bound, (t, bound)
     for t, _ in keyed:
@@ -319,8 +322,9 @@ def test_ring_search_stops_at_the_floor_and_skips_multiplier_twins(monkeypatch):
 
 
 def test_ring_search_walks_again_when_no_ring_comes_within_the_cap(monkeypatch):
-    # a floor of diameter 1 caps the first walk at 2, which no ring here
-    # meets, so the second walk from n // 2 decides; 144 misses the floor
+    # a floor of (1, 0) starts the first two walks from (1, 1) and (2, inf),
+    # which no ring here can beat, so the third walk from n // 2 decides;
+    # 144 misses the floor
     expected = {n: _best_ring.__wrapped__(n) for n in (37, 100, 144)}
     assert expected[144][1] > _layer_floor(144)
     monkeypatch.setattr(topology, "_layer_floor", lambda n: (1, 0))
@@ -416,6 +420,23 @@ def test_best_ring_misses_the_layer_floor_at_21_sweep_sizes():
         12, 24, 30, 40, 60, 70, 84, 112, 126, 132, 138, 144,
         150, 165, 174, 180, 186, 192, 198, 400, 441,
     ]
+
+
+def test_first_walk_keys_only_rings_whose_lattice_floor_is_the_layer_floor(monkeypatch):
+    keyed, floored = [], []
+    ring_key, ring_floor = topology._ring_key, topology._ring_floor
+    monkeypatch.setattr(topology, "_ring_key", lambda n, t, bound: keyed.append((n, t, bound)) or ring_key(n, t, bound))
+    monkeypatch.setattr(topology, "_ring_floor", lambda n, t, bound: floored.append((n, t)) or ring_floor(n, t, bound))
+    _best_ring.cache_clear()
+    met = [n for n in PAPER_SWEEPS if _best_ring(n)[1] == _layer_floor(n)]
+    assert len(met) == 184
+    for n, t, bound in keyed:
+        if n in met:
+            assert bound == _layer_floor(n)[0], (n, t, bound)
+            assert ring_floor(n, t, bound) == _layer_floor(n), (n, t)
+    assert len(keyed) == 373  # 1,194 when every walk started above the floor
+    # the second walk reuses the first walk's floors, so no t's floor is read twice
+    assert len(floored) == len(set(floored)) == 4761
 
 
 def test_general_search_keys_no_pair_once_the_ring_meets_the_floor(monkeypatch):
