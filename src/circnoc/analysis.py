@@ -29,7 +29,7 @@ from .routing import (
     _scan,
     route_runs,
 )
-from .topology import _ring_floor, _ring_key, circulant_distance_profile
+from .topology import RING_BUDGET, _ring_floor, _ring_key, circulant_distance_profile
 
 __all__ = [
     "RESOURCES",
@@ -150,14 +150,16 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     O(log n) steps, so a ring it already puts over the budget is refused
     before its profile is built, with D read from the tents (``_ring_key``)
     under a bound doubled from that floor until D fits it.  The tents are
-    laid only while the bound is within sqrt(n), so they stay far fewer
-    than the profile's n entries; past it the profile gives D.
+    laid only while the bound's square is within ``min(n, RING_BUDGET)``,
+    so a key lays at most about 2000 of them and never more than about
+    2 sqrt(n); past that the profile gives D, or refuses an n too large
+    for one.
     """
     n, s2 = cfg.n, cfg.s2
     bound = _ring_floor(n, s2, n)[0]
     diameter = None
     if (bound + 1) * s2 > WRAP_BUDGET:  # refused whatever D is
-        while bound * bound <= n:
+        while bound * bound <= min(n, RING_BUDGET):
             key_diameter = _ring_key(n, s2, bound)[0]
             if key_diameter <= bound:
                 diameter = key_diameter

@@ -480,17 +480,10 @@ def _ring_candidates(n: int) -> Iterator[int]:
 def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
     """Second generatrix and (diameter, total distance) of the best C(n; 1, t).
 
-    The walks and their shortcuts are those of ``search_best_ring_circulant``.
-    A t whose ``_ring_floor`` is not below the best key could at best tie.
-    The floor's bound only caps its diameter at bound + 1, so a floor read
-    within D + 1, (D, T) the layer floor, makes the same choices under
-    any best key up to ``(D + 1, inf)``.  So the first walk, from
-    ``(D, T + 1)``, reads each t's floor once: it keys a t within bound D
-    only if that floor is the layer floor, and it keeps every t whose
-    floor comes within D + 1 for the second walk, from ``(D + 1, inf)``.
-    The third, from ``(n // 2, inf)``, reads every floor again.  A skipped
-    t costs O(log n) steps, so a walk is O(n log n) besides the tents of
-    the t it keys.
+    The walks are those of ``search_best_ring_circulant``.  A floor's bound
+    only caps its diameter at bound + 1, so the floors the first walk reads
+    within D + 1 make the same choices under any best key up to
+    ``(D + 1, inf)``, and the second walk reuses them.
     """
     floor = _layer_floor(n)
     cap = (floor[0] + 1, math.inf)
@@ -539,7 +532,8 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
     s2 whose lattice floor (``_ring_floor``, that count sharpened by the
     shortest vector of its own lattice) is not below the best key.  Such a
     candidate could at best tie, so the winner and its tie-break are those
-    of the full walk.
+    of the full walk.  A skipped s2 costs O(log n) steps, so a walk is
+    O(n log n) besides the tents of the s2 it keys.
     The result depends on n alone, so each n is searched once per process.
     An n above ``RING_BUDGET`` raises ``ValidationError`` before any tent
     is laid.

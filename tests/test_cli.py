@@ -225,6 +225,17 @@ def test_distance_profile_of_a_huge_ring_exits_one(capsys, argv):
     assert err.startswith("error: n=1000000000000000000000000000000 ")
 
 
+def test_cycles_on_a_huge_ring_near_its_floor_exits_one_at_once(capsys):
+    # this s2's lattice floor, about 0.74 sqrt(n), puts the ring over the
+    # wrap budget, but its tents are too many to lay for the exact D, so
+    # the profile refuses the n as it does for s2 = 3
+    start = time.perf_counter()
+    code, _, err = run(capsys, "cycles", "--circulant", "1000000000000000000000000000000,1,1414213562373095")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err == "error: n=1000000000000000000000000000000 is too large for an n-entry distance profile\n"
+
+
 def test_table_route_on_a_huge_ring_answers_from_the_scan(capsys):
     # the route's legs come from the candidate scan, so no n-entry profile is built
     start = time.perf_counter()
