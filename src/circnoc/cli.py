@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import traceback
 
 from . import analysis, harness, routing, topology
 from .errors import LivelockError, ValidationError
@@ -399,6 +398,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback  # only this branch needs it, and it is slow to load
+
         traceback.print_exc()
         return 2
 

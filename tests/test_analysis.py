@@ -111,6 +111,19 @@ def test_efficiency_lists_no_node(monkeypatch):
         assert efficiency_k(C100, algorithm).k >= 1.0
 
 
+def test_efficiency_table_side_runs_no_scan(monkeypatch):
+    # the table side reads every route from the row filled from the profile
+    sources = (0, 1, 37, 50, 99)
+    expected = [efficiency_k(RouterConfig(100, 1, 44), "table", source=source) for source in sources]
+
+    def no_scan(*args):
+        raise AssertionError("efficiency_k ran a table scan")
+
+    monkeypatch.setattr(routing, "_table_legs", no_scan)
+    for source, report in zip(sources, expected):
+        assert efficiency_k(RouterConfig(100, 1, 44), "table", source=source) == report
+
+
 # --- wrap counting --------------------------------------------------------------
 
 def test_route_cycle_count_two_wrap_route():
@@ -140,6 +153,23 @@ def test_cycle_report_matches_dp_oracle():
             assert report.per_destination == tuple(dp_min_wraps(n, s2)), (n, s2)
             assert report.max_cycles == max(report.per_destination)
             assert report.n == n and report.s2 == s2
+
+
+def test_cycle_report_scans_only_offsets_that_need_wraps(monkeypatch):
+    # an offset whose unwrapped form is shortest needs 0 wraps and no
+    # bounded scan; every other offset of 1 .. n // 2 checks both bases
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return routing._check_wraps(*args)
+
+    monkeypatch.setattr(analysis, "_check_wraps", counted)
+    report = cycle_report(C100)
+    assert report.per_destination == tuple(dp_min_wraps(100, 44))
+    wrapping = sum(1 for k in range(1, 51) if report.per_destination[k] > 0)
+    assert 0 < wrapping < 50
+    assert len(calls) == 2 * wrapping
 
 
 def test_cycle_report_refuses_a_wrap_bound_over_the_budget(monkeypatch):

@@ -766,15 +766,18 @@ def test_runtime_imports_only_the_standard_library():
         "new = {name.partition('.')[0] for name in loaded}\n"
         "print(sorted(new - {'circnoc'} - set(sys.stdlib_module_names)))\n"
         "print(sorted(loaded & {'dataclasses', 'inspect'}))\n"
+        "print('traceback' in loaded)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    outside_stdlib, heavy = result.stdout.splitlines()
+    outside_stdlib, heavy, traceback_loaded = result.stdout.splitlines()
     assert outside_stdlib == "[]"
     # value types are tuples: the import needs neither dataclasses nor inspect
     assert heavy == "[]"
+    # only the exit-2 branch of main prints a traceback, and loads the module
+    assert traceback_loaded == "False"
 
 
 def test_only_the_cli_writes_files():

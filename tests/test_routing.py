@@ -24,7 +24,7 @@ from circnoc.routing import (
     route_runs,
     trace_route,
 )
-from circnoc.routing import _clockwise_delta, _scan, _shortest_port
+from circnoc.routing import _clockwise_delta, _fill_table_memo, _scan, _shortest_port, _table_legs
 from circnoc.topology import CirculantSpec, circulant_distance_profile
 from oracles import (
     _adaptive_delta,
@@ -656,6 +656,19 @@ def test_table_memo_holds_one_route_per_offset_and_clockwise_none():
             first, count1, second, count2 = legs
             assert count1 + count2 == profile[d], (n, s2, d)
             assert count2 == 0 or first < second, (n, s2, d)
+
+
+def test_profile_filled_table_memo_equals_the_scan():
+    # the whole-row coding of the table rule, filled on a fresh config,
+    # gives every offset the four ints of the single-route scan
+    rings = [(n, s2) for n in range(5, 81) for s2 in ring_s2_values(n)]
+    for n, s2 in rings + [(1024, 90), (2025, 197), (1024, 450)]:
+        cfg = RouterConfig(n, 1, s2)
+        _fill_table_memo(cfg)
+        memo = cfg._memo["table"]
+        assert set(memo) == set(range(1, n)), (n, s2)
+        for d in range(1, n):
+            assert memo[d] == _table_legs(d, cfg), (n, s2, d)
 
 
 def test_long_cold_table_route_stores_one_legs_entry():
