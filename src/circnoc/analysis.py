@@ -25,7 +25,6 @@ from .routing import (
     RouteTrace,
     RouterConfig,
     _check_node,
-    _check_wraps,
     _fill_table_memo,
     _scan,
     route_runs,
@@ -142,27 +141,27 @@ def route_cycle_count(trace: RouteTrace) -> int:
 def cycle_report(cfg: RouterConfig) -> CycleReport:
     """Minimum wraps at which a shortest route exists, per destination.
 
-    An offset first tries its two unwrapped forms (``_scan`` with no wrap):
-    if either reaches the breadth-first distance d, the offset needs 0
-    wraps, the least possible, and no wrap is scanned (84 % of the offsets
-    on the paper's cycles sweep).  For any other offset the candidate scan
-    of both directions is extended wrap by wrap while a candidate can
-    still be as short as d, that is while ``(base + m*n) // s2 <= d``;
-    the fewest wraps at which a direction reaches d wins.  Offsets k and
-    n - k scan the same two bases with the same d, so only the offsets
-    1 .. n // 2 are scanned and the rest mirror them, as in
-    ``circulant_distance_profile``.  Each scan is bounded by its wrap bound
-    from ``_check_wraps``, ((d + 1) s2 - 1 - base) // n with d at most the
-    diameter D, so the n // 2 pairs of scans walk at most about (D + 1) s2
-    wraps in all; a ring above ``WRAP_BUDGET`` is refused before the first.
-    The ring's lattice floor (``_ring_floor``) bounds D from below in
-    O(log n) steps, so a ring it already puts over the budget is refused
-    before its profile is built, with D read from the tents (``_ring_key``)
-    under a bound doubled from that floor until D fits it.  The tents are
-    laid only while the bound's square is within ``min(n, RING_BUDGET)``,
-    so a key lays at most about 2000 of them and never more than about
-    2 sqrt(n); past that the profile gives D, or refuses an n too large
-    for one.
+    A route to offset k is J long and R unit steps with J s2 + R = b, and
+    has m wraps when b is k + m n or -(n - k) - m n.  No route of a given b
+    is shorter than the better of b's two forms (``_scan`` with no wrap;
+    the floor/ceiling argument of ``_table_legs``), itself a route.  So the
+    walk reads both directions' forms at m = 0, 1, ... and stops at the
+    first m where either equals the breadth-first distance d: a shortest
+    route has that m, and none has fewer, or its m would have stopped the
+    walk.  Offsets k and n - k walk the same bases with the same d, so only
+    1 .. n // 2 are walked and the rest mirror them, as in
+    ``circulant_distance_profile``.  Both forms of wrap m take at least
+    (base + m n) // s2 hops, so an offset stops by
+    ((d + 1) s2 - 1 - base) // n and the walks take about (D + 1) s2 / 2
+    wrap steps in all, D the diameter; a ring whose (D + 1) s2 is above
+    ``WRAP_BUDGET`` is refused before the first.  The ring's lattice floor
+    (``_ring_floor``) bounds D from below in O(log n) steps, so a ring it
+    already puts over the budget is refused before its profile is built,
+    with D read from the tents (``_ring_key``) under a bound doubled from
+    that floor until D fits it.  The tents are laid only while the bound's
+    square is within ``min(n, RING_BUDGET)``, so a key lays at most about
+    2000 of them and never more than about 2 sqrt(n); past that the
+    profile gives D, or refuses an n too large for one.
     """
     n, s2 = cfg.n, cfg.s2
     bound = _ring_floor(n, s2, n)[0]
@@ -186,14 +185,10 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     per = [0] * n
     for offset in range(1, n // 2 + 1):
         d = profile[offset]
-        if _scan(offset, n, s2, 0)[0] == d or _scan(n - offset, n, s2, 0)[0] == d:
-            continue  # an unwrapped form is shortest: 0 wraps
-        reaching = []
-        for base in (offset, n - offset):
-            hops, wraps, _ = _scan(base, n, s2, _check_wraps(base, d, n, s2))
-            if hops == d:
-                reaching.append(wraps)
-        per[offset] = min(reaching)
+        forward, back, m = offset, n - offset, 0
+        while _scan(forward, n, s2, 0)[0] != d and _scan(back, n, s2, 0)[0] != d:
+            forward, back, m = forward + n, back + n, m + 1
+        per[offset] = m
     per[n // 2 + 1:] = per[(n - 1) // 2:0:-1]
     return CycleReport(n=n, s2=s2, per_destination=tuple(per))
 

@@ -51,7 +51,7 @@ __all__ = [
 
 ALGORITHMS = ("table", "clockwise", "adaptive")
 # The most ring wraps a table or unbounded adaptive scan may walk
-# (``_check_wraps``), and ``cycle_report``'s scans together.  A table
+# (``_check_wraps``), and ``cycle_report``'s walks together.  A table
 # route's wrap bound is below n/8 + 1, so no n <= 4e7 is refused, and a BFS
 # distance profile of C(1e7; 1, 5e6) took 3.0 s and 435 MB; at the budget
 # the scan walks about 7 s (1.5 us per wrap in both directions; 2 shared
@@ -380,7 +380,7 @@ def _check_wraps(base: int, best: int, n: int, s2: int) -> int:
     return wraps
 
 
-def _scan(base: int, n: int, s2: int, max_wraps: int) -> tuple[int, int, bool]:
+def _scan(base: int, n: int, s2: int, max_wraps: int) -> tuple[int, bool]:
     """Adaptive candidate scan of one travel direction covering ``base``.
 
     With q, r = divmod(target, s2), a displacement ``target`` is covered
@@ -396,18 +396,19 @@ def _scan(base: int, n: int, s2: int, max_wraps: int) -> tuple[int, int, bool]:
     first: both forms of wrap m take at least q hops, and q grows with m,
     so no later wrap can improve.  A ``max_wraps`` of at least the wrap
     bound from ``_check_wraps`` makes the result exact.  Returns (hops,
-    wraps, unit step first).
+    unit): unit is true when the best is the unwrapped q + r form with
+    r > 0, whose route starts with a unit step.
     """
     q, r = divmod(base, s2)
     best = q + r if 2 * r <= s2 else q - r + s2 + 1
-    wraps, unit, m = 0, 0 < r and 2 * r <= s2, 1
+    unit, m = 0 < r and 2 * r <= s2, 1
     while m <= max_wraps and (base + m * n) // s2 <= best:
         q, r = divmod(base + m * n, s2)
         hops = q + r if 2 * r <= s2 else q - r + s2 + 1
         if hops < best:
-            best, wraps, unit = hops, m, False
+            best, unit = hops, False
         m += 1
-    return best, wraps, unit
+    return best, unit
 
 
 def _adaptive_run(d: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
@@ -469,8 +470,8 @@ def _adaptive_run(d: int, cfg: RouterConfig, mode: AdaptiveMode) -> int:
     if bound is None:
         cap = min(_scan(s, n, s2, 0)[0], _scan(base, n, s2, 0)[0])
         toward_wraps, away_wraps = _check_wraps(s, cap, n, s2), _check_wraps(base, cap, n, s2)
-    toward, _, unit_toward = _scan(s, n, s2, toward_wraps)
-    away, _, unit_away = _scan(base, n, s2, away_wraps)
+    toward, unit_toward = _scan(s, n, s2, toward_wraps)
+    away, unit_away = _scan(base, n, s2, away_wraps)
     if toward < away:
         port, count = (0, s % s2) if unit_toward else (1, -(-s // s2))
     elif not unit_away:

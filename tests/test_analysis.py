@@ -23,6 +23,7 @@ from circnoc import analysis, routing
 from circnoc.harness import _render_csv
 from circnoc.errors import LivelockError, ValidationError
 from circnoc.routing import AS_PRINTED, CORRECTED, AdaptiveMode, RouterConfig, trace_route
+from circnoc.topology import search_best_ring_circulant
 from oracles import dp_min_wraps, ref_chip_capacity, ref_ring_profile, ring_s2_values
 
 C8 = RouterConfig(8, 1, 3)
@@ -146,36 +147,34 @@ def test_max_cycle_count_examples():
 
 
 def test_cycle_report_matches_dp_oracle():
-    for n in list(range(5, 41)) + [60, 77, 96]:
-        for s2 in range(2, (n - 1) // 2 + 1):
-            cfg = RouterConfig(n, 1, s2)
-            report = cycle_report(cfg)
-            assert report.per_destination == tuple(dp_min_wraps(n, s2)), (n, s2)
-            assert report.max_cycles == max(report.per_destination)
-            assert report.n == n and report.s2 == s2
+    rings = [(n, s2) for n in list(range(5, 41)) + [60, 77, 96] for s2 in range(2, (n - 1) // 2 + 1)]
+    best = [(n, search_best_ring_circulant(n).generatrices[1]) for n in range(5, 201)]
+    for n, s2 in rings + best + [(1024, 450), (1024, 90), (2025, 197)]:
+        cfg = RouterConfig(n, 1, s2)
+        report = cycle_report(cfg)
+        assert report.per_destination == tuple(dp_min_wraps(n, s2)), (n, s2)
+        assert report.max_cycles == max(report.per_destination)
+        assert report.n == n and report.s2 == s2
 
 
 def test_cycle_report_scans_only_offsets_that_need_wraps(monkeypatch):
-    # an offset whose unwrapped form is shortest needs 0 wraps and no
-    # bounded scan; every other offset of 1 .. n // 2 checks both bases
+    # one walk per offset of 1 .. n // 2 reads both unwrapped forms at
+    # m = 0, 1, ... and stops at the first m where either is shortest:
+    # two scans per wrap below it, and one or two at it
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return routing._check_wraps(*args)
+    def counted(base, n, s2, max_wraps):
+        calls.append(max_wraps)
+        return routing._scan(base, n, s2, max_wraps)
 
-    monkeypatch.setattr(analysis, "_check_wraps", counted)
+    monkeypatch.setattr(analysis, "_scan", counted)
     report = cycle_report(C100)
-    assert report.per_destination == tuple(dp_min_wraps(100, 44))
-    wrapping = sum(1 for k in range(1, 51) if report.per_destination[k] > 0)
-    assert 0 < wrapping < 50
-    assert len(calls) == 2 * wrapping
-
-
-def test_cycle_report_refuses_a_wrap_bound_over_the_budget(monkeypatch):
-    monkeypatch.setattr(routing, "WRAP_BUDGET", 0)
-    with pytest.raises(ValidationError, match="ring wraps, above the budget of 0"):
-        cycle_report(RouterConfig(100, 1, 44))
+    per = report.per_destination
+    assert per == tuple(dp_min_wraps(100, 44))
+    assert 0 < sum(per[1:51]) and 0 in per[1:51]
+    least = sum(2 * per[k] + 1 for k in range(1, 51))
+    assert least <= len(calls) <= least + 50
+    assert set(calls) == {0}
 
 
 def test_cycle_report_refuses_a_ring_over_the_budget_before_its_first_scan(monkeypatch):

@@ -25,9 +25,11 @@ from circnoc.routing import (
     trace_route,
 )
 from circnoc.routing import _clockwise_delta, _fill_table_memo, _scan, _shortest_port, _table_legs
-from circnoc.topology import CirculantSpec, circulant_distance_profile
+from circnoc.harness import square_sizes
+from circnoc.topology import CirculantSpec, circulant_distance_profile, search_best_ring_circulant
 from oracles import (
     _adaptive_delta,
+    _ref_directional_best,
     ref_adaptive_delta,
     ref_adaptive_walk,
     ref_bfs,
@@ -604,10 +606,16 @@ def test_traces_are_immutable_values():
 def test_unwrapped_scan_takes_the_shorter_candidate_form():
     # max_wraps=0 keeps the unwrapped pair: q + r hops, or q - r + s2 + 1
     # hops by overshooting with one more long step
-    assert _scan(37, 100, 44, 0) == (8, 0, False)    # forms (37, 8)
-    assert _scan(263, 100, 44, 0) == (7, 0, False)   # forms (48, 7)
-    assert _scan(12, 100, 3, 0) == (4, 0, False)     # forms (4, 8), no remainder
-    assert _scan(5, 100, 44, 0) == (5, 0, True)      # forms (5, 40), unit steps
+    assert _scan(37, 100, 44, 0) == (8, False)    # forms (37, 8)
+    assert _scan(263, 100, 44, 0) == (7, False)   # forms (48, 7)
+    assert _scan(12, 100, 3, 0) == (4, False)     # forms (4, 8), no remainder
+    assert _scan(5, 100, 44, 0) == (5, True)      # forms (5, 40), unit steps
+    # with wraps it is the oracle's scan, which never stops early
+    for n in range(5, 61):
+        for s2 in range(2, (n - 1) // 2 + 1):
+            for b in range(1, 2 * n):
+                for w in range(4):
+                    assert _scan(b, n, s2, w) == _ref_directional_best(b, n, s2, w), (b, n, s2, w)
 
 
 def test_candidate_enumeration_reaches_bfs_distance():
@@ -662,7 +670,10 @@ def test_profile_filled_table_memo_equals_the_scan():
     # the whole-row coding of the table rule, filled on a fresh config,
     # gives every offset the four ints of the single-route scan
     rings = [(n, s2) for n in range(5, 81) for s2 in ring_s2_values(n)]
-    for n, s2 in rings + [(1024, 90), (2025, 197), (1024, 450)]:
+    # and the best rings of the efficiency figure's larger squares, so each
+    # K(table) it reports rests on rows equal to the scan
+    best = [(n, search_best_ring_circulant(n).generatrices[1]) for n in square_sizes(9)]
+    for n, s2 in rings + best + [(1024, 90), (2025, 197), (1024, 450)]:
         cfg = RouterConfig(n, 1, s2)
         _fill_table_memo(cfg)
         memo = cfg._memo["table"]
