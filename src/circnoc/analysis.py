@@ -25,7 +25,6 @@ from .routing import (
     RouteTrace,
     RouterConfig,
     _check_node,
-    _fill_table_memo,
     _scan,
     route_runs,
 )
@@ -102,22 +101,23 @@ def efficiency_k(
     """Efficiency criterion K = (algorithm hops) / (shortest-path hops).
 
     Both totals sum routes from ``source`` to every other node.  The
-    algorithm side sums the run counts of each route (``route_runs``), so
-    no node is listed.  The shortest-path side is the sum of the cached
-    distance profile from node 0: circulants are vertex-transitive, so
-    every source has the same distance multiset and the same total.  The
-    table side routes every offset, so its memo is first filled for the
-    whole row from that same profile (``_fill_table_memo``), and each
-    route is then a memo hit: no candidate scan runs.
+    shortest-path side is the sum of the cached distance profile from
+    node 0: circulants are vertex-transitive, so every source has the same
+    distance multiset and the same total.  Clockwise and adaptive routes
+    are routed, and their run counts summed (``route_runs``), so no node
+    is listed.  The table side is that same total, routing nothing: every
+    table hop leaves by a port that brings the packet one hop closer
+    (``_table_legs``), so the route to offset d is ``profile[d]`` hops long.
     """
     _check_node(source, cfg.n, "source")
     hops_oracle = sum(circulant_distance_profile(cfg.n, (cfg.s1, cfg.s2)))
     if algorithm == "table":
-        _fill_table_memo(cfg)
-    hops_algorithm = 0
-    for dest in range(cfg.n):
-        if dest != source:
-            hops_algorithm += sum(route_runs(algorithm, source, dest, cfg, mode)[1::2])
+        hops_algorithm = hops_oracle
+    else:
+        hops_algorithm = 0
+        for dest in range(cfg.n):
+            if dest != source:
+                hops_algorithm += sum(route_runs(algorithm, source, dest, cfg, mode)[1::2])
     return EfficiencyReport(
         k=hops_algorithm / hops_oracle,
         hops_algorithm=hops_algorithm,
@@ -174,14 +174,14 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
                 break
             bound *= 2
     if diameter is None:
-        profile = circulant_distance_profile(n, (cfg.s1, s2))
-        diameter = max(profile)
+        diameter = max(circulant_distance_profile(n, (cfg.s1, s2)))
     wraps = (diameter + 1) * s2
     if wraps > WRAP_BUDGET:
         raise ValidationError(
             f"the wrap-count scans of {cfg} need up to {wraps} ring wraps, "
             f"above the budget of {WRAP_BUDGET}"
         )
+    profile = circulant_distance_profile(n, (cfg.s1, s2))
     per = [0] * n
     for offset in range(1, n // 2 + 1):
         d = profile[offset]

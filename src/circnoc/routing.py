@@ -4,9 +4,8 @@ Three strategies share one four-port router model:
 
 * ``table``     -- the lowest port on a shortest path, per label
                    difference: a route reads its two legs from the
-                   candidate scan, and whole rows (``build_routing_table``'s
-                   ports, ``_fill_table_memo``'s legs) come from the
-                   distance profile;
+                   candidate scan, and ``build_routing_table``'s row of
+                   ports comes from the distance profile;
 * ``clockwise`` -- one-direction iterative arithmetic on the label
                    difference, cheap to evaluate but not always shortest;
 * ``adaptive``  -- bidirectional candidate search that also weighs routes
@@ -77,8 +76,7 @@ class RouterConfig(namedtuple("RouterConfig", "n s1 s2")):
       numbering), which every router reads once per route;
     * ``_memo``, the route memo of ``trace_route``, living as long as this
       config.  ``"table"`` maps an offset d = (dst - src) mod n in [1, n)
-      to the four ints of its route's two runs (``_table_legs``, or all
-      n - 1 at once from ``_fill_table_memo``).  Each
+      to the four ints of its route's two runs (``_table_legs``).  Each
       ``AdaptiveMode`` maps d = dest - current in (-n, n) to the run that
       starts there, packed in one int (``_adaptive_run``).  Entries are
       added when a route first needs them, so the table dict holds at most
@@ -237,27 +235,6 @@ def build_routing_table(cfg: RouterConfig) -> RoutingTable:
     steps = cfg.port_steps
     row = tuple(_shortest_port(profile, steps, offset, n) for offset in range(1, n))
     return RoutingTable(cfg=cfg, ports=(None,) + row)
-
-
-def _fill_table_memo(cfg: RouterConfig) -> None:
-    """Fill the config's table memo for every offset from one distance profile.
-
-    The whole-row coding of the table rule; single routes scan
-    (``_table_legs``).  The route to d leaves by p = ``_shortest_port``, the
-    port ``build_routing_table`` stores, and goes on as the route to the
-    rest (d - step_p) mod n, one hop shorter: so offsets go in order of
-    distance, and the rest's legs are already in the memo.  Ports never
-    fall, so a rest that starts on another port is one run, and d's legs
-    are p once and then that run; otherwise p's first run grows by one.
-    """
-    n, steps = cfg.n, cfg.port_steps
-    profile = circulant_distance_profile(n, (cfg.s1, cfg.s2))
-    memo = cfg._memo.setdefault("table", {})
-    for offset in sorted(range(1, n), key=profile.__getitem__):
-        port = _shortest_port(profile, steps, offset, n)
-        rest = (offset - steps[port]) % n
-        first, count1, second, count2 = memo[rest] if rest else (port, 0, port, 0)
-        memo[offset] = (port, count1 + 1, second, count2) if first == port else (port, 1, first, count1)
 
 
 def _table_legs(offset: int, cfg: RouterConfig) -> tuple[int, int, int, int]:
@@ -546,9 +523,8 @@ def route_runs(
     routes are two runs (the second may be empty): each rule reads
     d = (dst - current) mod n alone, so the route from src is that of the
     offset (dst - src) mod n from 0.  Table runs are memoized per offset,
-    and a miss runs the candidate scan once (``_table_legs``); no single
-    table route reads the distance profile, though a caller that routes
-    every offset fills the memo from it first (``_fill_table_memo``).
+    and a miss runs the candidate scan once (``_table_legs``); no table
+    route reads the distance profile.
     Neither rule can livelock: every hop strictly lowers the distance to
     dst, or the clockwise residual.
     Adaptive runs come from ``_adaptive_runs``, which raises

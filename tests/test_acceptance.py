@@ -67,7 +67,13 @@ def test_criterion_3_efficiency_claims():
     with criterion(3, "K(table)=1, K(adaptive)=1 within two wraps, K(clockwise)>=1", 300.0):
         for n in cn.square_sizes():
             cfg = cn.RouterConfig.from_spec(cn.search_best_ring_circulant(n))
-            assert cn.efficiency_k(cfg, "table").k == 1.0, n
+            table = cn.efficiency_k(cfg, "table")
+            assert table.k == 1.0, n
+            # K(table) = 1 measured: the router's own routes, on a fresh
+            # config, sum to the shortest-path total
+            fresh_cfg = cn.RouterConfig(cfg.n, cfg.s1, cfg.s2)
+            routed = sum(sum(cn.route_runs("table", 0, d, fresh_cfg)[1::2]) for d in range(1, n))
+            assert routed == table.hops_oracle, n
             assert cn.efficiency_k(cfg, "clockwise").k >= 1.0, n
             if cn.cycle_report(cfg).max_cycles <= 2:
                 assert cn.efficiency_k(cfg, "adaptive", cn.CORRECTED).k == 1.0, n

@@ -22,7 +22,7 @@ from circnoc.analysis import (
 from circnoc import analysis, routing
 from circnoc.harness import _render_csv
 from circnoc.errors import LivelockError, ValidationError
-from circnoc.routing import AS_PRINTED, CORRECTED, AdaptiveMode, RouterConfig, trace_route
+from circnoc.routing import AS_PRINTED, CORRECTED, AdaptiveMode, RouterConfig, route_runs, trace_route
 from circnoc.topology import search_best_ring_circulant
 from oracles import dp_min_wraps, ref_chip_capacity, ref_ring_profile, ring_s2_values
 
@@ -113,16 +113,29 @@ def test_efficiency_lists_no_node(monkeypatch):
 
 
 def test_efficiency_table_side_runs_no_scan(monkeypatch):
-    # the table side reads every route from the row filled from the profile
-    sources = (0, 1, 37, 50, 99)
-    expected = [efficiency_k(RouterConfig(100, 1, 44), "table", source=source) for source in sources]
+    # the table side is the BFS total: it routes no offset, so it neither
+    # calls route_runs nor runs a scan, and the route memo stays empty
+    total = sum(ref_ring_profile(100, 44))
+    routed = []
+
+    def no_table_route(algorithm, *args):
+        if algorithm == "table":
+            raise AssertionError("efficiency_k routed a table route")
+        routed.append(algorithm)
+        return route_runs(algorithm, *args)
 
     def no_scan(*args):
         raise AssertionError("efficiency_k ran a table scan")
 
+    monkeypatch.setattr(analysis, "route_runs", no_table_route)
     monkeypatch.setattr(routing, "_table_legs", no_scan)
-    for source, report in zip(sources, expected):
-        assert efficiency_k(RouterConfig(100, 1, 44), "table", source=source) == report
+    for source in (0, 1, 37, 50, 99):
+        cfg = RouterConfig(100, 1, 44)
+        assert efficiency_k(cfg, "table", source=source) == (1.0, total, total, source)
+        assert cfg._memo == {}
+    # the patched name is the one the routed sides call
+    efficiency_k(RouterConfig(100, 1, 44), "clockwise")
+    assert routed == ["clockwise"] * 99
 
 
 # --- wrap counting --------------------------------------------------------------

@@ -24,9 +24,8 @@ from circnoc.routing import (
     route_runs,
     trace_route,
 )
-from circnoc.routing import _clockwise_delta, _fill_table_memo, _scan, _shortest_port, _table_legs
-from circnoc.harness import square_sizes
-from circnoc.topology import CirculantSpec, circulant_distance_profile, search_best_ring_circulant
+from circnoc.routing import _clockwise_delta, _scan, _shortest_port, _table_legs
+from circnoc.topology import CirculantSpec, circulant_distance_profile
 from oracles import (
     _adaptive_delta,
     _ref_directional_best,
@@ -666,20 +665,17 @@ def test_table_memo_holds_one_route_per_offset_and_clockwise_none():
             assert count2 == 0 or first < second, (n, s2, d)
 
 
-def test_profile_filled_table_memo_equals_the_scan():
-    # the whole-row coding of the table rule, filled on a fresh config,
-    # gives every offset the four ints of the single-route scan
+def test_table_scan_is_shortest_on_every_small_ring():
+    # the router's own scan routes every offset in exactly its BFS
+    # distance, with its two legs in rising port order
     rings = [(n, s2) for n in range(5, 81) for s2 in ring_s2_values(n)]
-    # and the best rings of the efficiency figure's larger squares, so each
-    # K(table) it reports rests on rows equal to the scan
-    best = [(n, search_best_ring_circulant(n).generatrices[1]) for n in square_sizes(9)]
-    for n, s2 in rings + best + [(1024, 90), (2025, 197), (1024, 450)]:
+    for n, s2 in rings + [(1024, 90), (2025, 197), (1024, 450)]:
         cfg = RouterConfig(n, 1, s2)
-        _fill_table_memo(cfg)
-        memo = cfg._memo["table"]
-        assert set(memo) == set(range(1, n)), (n, s2)
+        profile = ref_ring_profile(n, s2)
         for d in range(1, n):
-            assert memo[d] == _table_legs(d, cfg), (n, s2, d)
+            first, count1, second, count2 = _table_legs(d, cfg)
+            assert count1 + count2 == profile[d], (n, s2, d)
+            assert count2 == 0 or first < second, (n, s2, d)
 
 
 def test_long_cold_table_route_stores_one_legs_entry():
