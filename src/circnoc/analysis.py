@@ -28,7 +28,7 @@ from .routing import (
     _scan,
     route_runs,
 )
-from .topology import RING_BUDGET, _ring_floor, _ring_key, circulant_distance_profile
+from .topology import RING_BUDGET, _lattice_floor, _ring_key, circulant_distance_profile
 
 __all__ = [
     "RESOURCES",
@@ -155,7 +155,7 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     ((d + 1) s2 - 1 - base) // n and the walks take about (D + 1) s2 / 2
     wrap steps in all, D the diameter; a ring whose (D + 1) s2 is above
     ``WRAP_BUDGET`` is refused before the first.  The ring's lattice floor
-    (``_ring_floor``) bounds D from below in O(log n) steps, so a ring it
+    (``_lattice_floor``) bounds D from below in O(log n) steps, so a ring it
     already puts over the budget is refused before its profile is built,
     with D read from the tents (``_ring_key``) under a bound doubled from
     that floor until D fits it.  The tents are laid only while the bound's
@@ -164,7 +164,7 @@ def cycle_report(cfg: RouterConfig) -> CycleReport:
     profile gives D, or refuses an n too large for one.
     """
     n, s2 = cfg.n, cfg.s2
-    bound = _ring_floor(n, s2, n)[0]
+    bound = _lattice_floor(n, 1, s2, n)[0]
     diameter = None
     if (bound + 1) * s2 > WRAP_BUDGET:  # refused whatever D is
         while bound * bound <= min(n, RING_BUDGET):

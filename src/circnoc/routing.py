@@ -484,9 +484,8 @@ def _adaptive_runs(src: int, dst: int, cfg: RouterConfig, mode: AdaptiveMode) ->
             if current in starts:
                 raise _livelock_error(src, dst, runs, cfg)
             starts.add(current)
-        try:
-            packed = memo[dst - current]
-        except KeyError:
+        packed = memo.get(dst - current)
+        if packed is None:
             packed = memo[dst - current] = _adaptive_run(dst - current, cfg, mode)
         port, count = packed & 3, packed >> 3
         step = steps[port]

@@ -339,7 +339,18 @@ def _ring_key(n: int, t: int, bound: int) -> tuple[int, int]:
     return _envelope(heights, n, bound)
 
 
-def _pair_key(n: int, s1: int, s2: int, bound: int) -> tuple[int, int]:
+def _pair_frame(n: int, s1: int, s2: int) -> tuple[int, int]:
+    """The frame (g, t) of C(n; s1, s2): g = gcd(s1, n), m = n / g and
+    t = (s1 / g)**-1 s2 mod m, or m - t if less (a mirror image: one key,
+    one floor).  The lattice of (x, y) with x s1 + y s2 = 0 mod n has the
+    basis (m, 0), (-t, g).  A ring C(n; 1, t) has the frame (1, t)."""
+    g = math.gcd(s1, n)
+    m = n // g
+    t = pow(s1 // g, -1, m) * s2 % m
+    return g, min(t, m - t)
+
+
+def _pair_key(n: int, g: int, t: int, bound: int) -> tuple[int, int]:
     """(diameter, total distance) of C(n; s1, s2) from its tents, without a BFS.
 
     Let g = gcd(s1, n), m = n / g and a = (s1 / g)**-1 mod m.  The s1-steps
@@ -356,10 +367,10 @@ def _pair_key(n: int, s1: int, s2: int, bound: int) -> tuple[int, int]:
     makes s2 a unit mod g, so the tents of one coset are the j of one
     residue class j0 mod g; take |j0| <= g / 2, the lowest height in the
     class.  Writing ``j = j0 + k g``, its label lies ``k t`` after the label
-    of j0 on the cycle, with ``t = a s2 mod m``.  So cut each cycle at its
-    lowest apex j0: the coset's tents are ``k t mod m`` with height
-    ``|j0 + k g|``.  The classes j0 and -j0 give mirror images, with the
-    same key, so only j0 = 0 .. g // 2 are laid.  The key is the largest
+    of j0 on the cycle, with (g, t) the frame (``_pair_frame``).  So cut each
+    cycle at its lowest apex j0: the coset's tents are ``k t mod m`` with
+    height ``|j0 + k g|``.  The classes j0 and -j0 give mirror images, with
+    the same key, so only j0 = 0 .. g // 2 are laid.  The key is the largest
     coset diameter and the sum of the coset totals.
 
     As in ``_ring_key``, only tents with ``|j| <= bound`` are laid, and the
@@ -368,11 +379,9 @@ def _pair_key(n: int, s1: int, s2: int, bound: int) -> tuple[int, int]:
     the walk with a diameter above the bound.  With g > 2 bound + 1 some
     coset has no tent at all.
     """
-    g = math.gcd(s1, n)
     if g > 2 * bound + 1:
         return bound + 1, 0
     m = n // g
-    t = pow(s1 // g, -1, m) * s2 % m
     diameter = total = 0
     for j0 in range(g // 2 + 1):
         # Laid from the highest tent down, so each label keeps its lowest
@@ -412,44 +421,47 @@ def _layer_floor(n: int) -> tuple[int, int]:
     return diameter, inner * (2 * diameter - 1) // 3 + diameter * (n - 1 - inner)
 
 
-def _short_vector(n: int, t: int) -> tuple[int, int]:
-    """(|x| + |j|, ||x| - |j||) of an L1-shortest (x, j), x + j t = 0 mod n.
+def _short_vector(m: int, g: int, t: int) -> tuple[int, int]:
+    """(|x| + |y|, ||x| - |y||) of an L1-shortest nonzero lattice vector,
+    basis (m, 0), (-t, g) with 0 <= t <= m / 2 (a ring: m = n, g = 1).
 
-    The shortest with least j > 0 is a best approximation of t / n (a
-    smaller j with j t as near a multiple of n would be shorter), so j is a
-    convergent's denominator (Lagrange) and |x| its remainder in the
-    Euclidean algorithm on (n, t).  Ties keep the least ||x| - |j||.
+    Besides (m, 0), the shortest (x, k g) with least k > 0 is a best
+    approximation of t / m, for any weight g > 0 (a smaller k with k t as
+    near a multiple of m would be shorter), so k is a convergent's
+    denominator (Lagrange) and |x| its remainder in the Euclidean algorithm
+    on (m, t); the walk carries g k.  Ties keep the least ||x| - |y||.
     """
-    lam, c = t + 1, t - 1
-    x, y, j, k = n, t, 0, 1
+    lam, c = t + g, abs(t - g)
+    x, y, j, k = m, t, 0, g
     while y and k < lam:
         q = x // y
         x, y, j, k = y, x - q * y, k, j + q * k
         if y + k < lam or y + k == lam and abs(y - k) < c:
             lam, c = y + k, abs(y - k)
-    return lam, c
+    return (lam, c) if lam <= m else (m, m)
 
 
-def _ring_floor(n: int, t: int, bound: int) -> tuple[int, int]:
-    """A lower bound on the (diameter, total) of C(n; 1, t), in O(log n) steps.
+def _lattice_floor(n: int, g: int, t: int, bound: int) -> tuple[int, int]:
+    """A lower bound on the (diameter, total) of frame (g, t), in O(log n) steps.
 
     The nodes within r hops are the image of the L1 ball B_r (2r^2 + 2r + 1
-    points) under (x, y) -> x + y t mod n.  For a lattice vector v = (x, j),
-    x + j t = 0 mod n, each point of B_r & (B_r + v) has the node of a point
-    of B_r that lies v below it, so at most |B_r| less that overlap lie
-    within r hops.  In u = x + y, w = x - y the overlap is a box of
-    (2r + 1 - lam) x (2r + 1 - c) points whose corners have even u + w,
-    lam = |x| + |j| and c = ||x| - |j||: ceil((2r + 1 - lam)(2r + 1 - c) / 2)
+    points) under (x, y) -> x s1 + y s2 mod n.  For a lattice vector v =
+    (x, y), x s1 + y s2 = 0 mod n, each point of B_r & (B_r + v) has the
+    node of a point of B_r that lies v below it, so at most |B_r| less that
+    overlap lie within r hops.  In u = x + y, w = x - y the overlap is a box
+    of (2r + 1 - lam) x (2r + 1 - c) points whose corners have even u + w,
+    lam = |x| + |y| and c = ||x| - |y||: ceil((2r + 1 - lam)(2r + 1 - c) / 2)
     points, none once lam > 2r.  Filling each radius up to this cap, as
     ``_layer_floor`` fills its layers, the diameter is at least the first r
     whose cap reaches n (else bound + 1), and the total at least the sum of
-    n - cap(r) below it, for v from ``_short_vector``.  Up to the radius
+    n - cap(r) below it, for v from ``_short_vector`` on the frame (g, t)
+    (``_pair_frame``; a ring C(n; 1, t) has g = 1).  Up to the radius
     (lam - 1) // 2, cap(r) = 2r^2 + 2r + 1 reaches n, if there, at the layer
     floor's diameter, and sums to a (2a^2 + 1) / 3 over r < a.  Above it the
     squares cancel (lam = c mod 2): cap(r) = ((lam + c)(2r + 1) - drop) / 2
     with drop = lam c - lam % 2 is linear in r, so its first r is a ceiling.
     """
-    lam, c = _short_vector(n, t)
+    lam, c = _short_vector(n // g, g, t)
     r = (lam - 1) // 2
     drop = lam * c - lam % 2
     if 2 * r * (r + 1) + 1 >= n:
@@ -489,12 +501,12 @@ def _best_ring(n: int) -> tuple[int, tuple[int, int]]:
     cap = (floor[0] + 1, math.inf)
     near = []
     for t in _ring_candidates(n):
-        lower = _ring_floor(n, t, cap[0])
+        lower = _lattice_floor(n, 1, t, cap[0])
         if lower < cap:
             if lower == floor and _ring_key(n, t, floor[0]) == floor:
                 return t, floor
             near.append((t, lower))
-    bare = ((t, _ring_floor(n, t, n // 2)) for t in _ring_candidates(n))
+    bare = ((t, _lattice_floor(n, 1, t, n // 2)) for t in _ring_candidates(n))
     for start, walk in ((cap, near), ((n // 2, math.inf), bare)):
         best_t, best_key = 0, start
         for t, lower in walk:
@@ -529,7 +541,7 @@ def search_best_ring_circulant(n: int) -> CirculantSpec:
     no ring comes within D + 1, which happens at no n = 5..1499, the third
     from the bare ring's diameter n // 2, which no C(n; 1, s2) exceeds.
     Each walk skips a unit s2 whose multiplier twin comes earlier, and an
-    s2 whose lattice floor (``_ring_floor``, that count sharpened by the
+    s2 whose lattice floor (``_lattice_floor``, that count sharpened by the
     shortest vector of its own lattice) is not below the best key.  Such a
     candidate could at best tie, so the winner and its tie-break are those
     of the full walk.  A skipped s2 costs O(log n) steps, so a walk is
@@ -568,16 +580,21 @@ def search_best_circulant2(n: int) -> CirculantSpec:
     so it loses as it should.
 
     No pair has a key below ``_layer_floor(n)``: its layers hold at most
-    4d nodes at distance d.  So the ring winner is returned at once when its
-    key equals that floor, and the scan stops at the first pair that
-    reaches it.  The pairs passed over could at best tie, and a tie never
-    replaces the best, so the result and its tie-break are unchanged.
+    4d nodes at distance d.  So the ring winner is returned when its key
+    equals that floor, before any pair is listed, and the scan stops at the
+    first pair that reaches it.  A pair whose lattice floor
+    (``_lattice_floor``, O(log n) steps) is not below the best key is
+    skipped, before its tents are laid.  The pairs passed over could at
+    best tie, and a tie never replaces the best, so the result and its
+    tie-break are unchanged.
     """
     if n < 5:
         raise ValidationError(f"no valid generatrix pair for n={n}; need n >= 5")
     best_pair = search_best_ring_circulant(n).generatrices
     best_key = _best_ring(n)[1]
     floor = _layer_floor(n)
+    if best_key == floor:
+        return CirculantSpec(n, best_pair)
     limit = (n - 1) // 2
     pairs = (
         (s1, s2)
@@ -587,12 +604,13 @@ def search_best_circulant2(n: int) -> CirculantSpec:
         if math.gcd(s2, n) != 1 and math.gcd(n, s1, s2) == 1
     )
     for s1, s2 in pairs:
-        if best_key == floor:
-            break
-        key = _pair_key(n, s1, s2, best_key[0])
-        if key < best_key:
-            best_key = key
-            best_pair = (s1, s2)
+        g, t = _pair_frame(n, s1, s2)
+        if _lattice_floor(n, g, t, best_key[0]) < best_key:
+            key = _pair_key(n, g, t, best_key[0])
+            if key < best_key:
+                best_key, best_pair = key, (s1, s2)
+                if key == floor:
+                    break
     return CirculantSpec(n, best_pair)
 
 

@@ -179,7 +179,7 @@ def ref_ring_fill(n, lam, c, bound):
     """(diameter, total) of radii filled greedily up to the lattice cap.
 
     The cap of radius r is |B_r| less ceil((2r + 1 - lam)(2r + 1 - c) / 2)
-    once 2r + 1 > lam, as ``circnoc.topology._ring_floor`` counts it; the
+    once 2r + 1 > lam, as ``circnoc.topology._lattice_floor`` counts it; the
     radii are walked one at a time up to ``bound`` (else bound + 1).
     """
     total = 0

@@ -20,7 +20,15 @@ from circnoc.topology import (
     search_best_circulant2,
     search_best_ring_circulant,
 )
-from circnoc.topology import _best_ring, _layer_floor, _pair_key, _ring_floor, _ring_key, _short_vector
+from circnoc.topology import (
+    _best_ring,
+    _lattice_floor,
+    _layer_floor,
+    _pair_frame,
+    _pair_key,
+    _ring_key,
+    _short_vector,
+)
 from oracles import (
     ref_bfs,
     ref_metrics,
@@ -338,7 +346,7 @@ def _ball(r):
 
 def test_ring_floor_overlap_count_matches_brute_force():
     # |B_r & (B_r + v)| for v = (x, j): a box of equal-parity points in
-    # u = x + y, w = x - y, as the docstring of _ring_floor counts it
+    # u = x + y, w = x - y, as the docstring of _lattice_floor counts it
     for r in range(9):
         ball = _ball(r)
         assert len(ball) == 2 * r * r + 2 * r + 1
@@ -356,13 +364,13 @@ def test_ring_floor_is_below_the_ring_key():
         for t in ring_s2_values(n):
             key = _ring_key(n, t, n)
             for bound in range(n // 2 + 2):
-                assert _ring_floor(n, t, bound) <= key, (n, t, bound)
+                assert _lattice_floor(n, 1, t, bound) <= key, (n, t, bound)
 
 
 def test_short_vector_is_the_brute_force_shortest():
     # the least (|x| + j, ||x| - j|) over 1 <= j <= n; the tie-break on c
     # matters: in C(8; 1, 3), |x| + j is 4 for (x, j) = (3, 1) and (2, 2)
-    assert _short_vector(8, 3) == (4, 0)
+    assert _short_vector(8, 1, 3) == (4, 0)
     for n in range(5, 401):
         for t in ring_s2_values(n):
             best = (n + 1, 0)
@@ -371,17 +379,17 @@ def test_short_vector_is_the_brute_force_shortest():
                     break
                 x = min(j * t % n, -j * t % n)
                 best = min(best, (x + j, abs(x - j)))
-            assert _short_vector(n, t) == best, (n, t)
+            assert _short_vector(n, 1, t) == best, (n, t)
 
 
 def test_ring_floor_fill_matches_the_radius_loop(monkeypatch):
     # any (lam, c) of a lattice vector: c <= lam and c = lam mod 2
     for lam in range(1, 31):
         for c in range(lam % 2, lam + 1, 2):
-            monkeypatch.setattr(topology, "_short_vector", lambda n, t: (lam, c))
+            monkeypatch.setattr(topology, "_short_vector", lambda m, g, t: (lam, c))
             for n in range(2, 240, 9):
                 for bound in range(22):
-                    assert _ring_floor(n, 0, bound) == ref_ring_fill(n, lam, c, bound), (n, lam, c, bound)
+                    assert _lattice_floor(n, 1, 0, bound) == ref_ring_fill(n, lam, c, bound), (n, lam, c, bound)
 
 
 def test_best_ring_at_scale():
@@ -397,7 +405,7 @@ def test_ring_walk_pruned_by_the_floor_matches_the_walk_without_it(monkeypatch):
         for n in (37, 100, 144, 150, 400):
             second[n] = _best_ring.__wrapped__(n)
             assert second[n] == pruned[n], n
-    monkeypatch.setattr(topology, "_ring_floor", lambda n, t, bound: (0, 0))
+    monkeypatch.setattr(topology, "_lattice_floor", lambda n, g, t, bound: (0, 0))
     for n, best in pruned.items():
         assert _best_ring.__wrapped__(n) == best, n
     monkeypatch.setattr(topology, "_layer_floor", lambda n: (1, 0))
@@ -424,16 +432,20 @@ def test_best_ring_misses_the_layer_floor_at_21_sweep_sizes():
 
 def test_first_walk_keys_only_rings_whose_lattice_floor_is_the_layer_floor(monkeypatch):
     keyed, floored = [], []
-    ring_key, ring_floor = topology._ring_key, topology._ring_floor
+    ring_key, lattice_floor = topology._ring_key, topology._lattice_floor
     monkeypatch.setattr(topology, "_ring_key", lambda n, t, bound: keyed.append((n, t, bound)) or ring_key(n, t, bound))
-    monkeypatch.setattr(topology, "_ring_floor", lambda n, t, bound: floored.append((n, t)) or ring_floor(n, t, bound))
+    monkeypatch.setattr(
+        topology,
+        "_lattice_floor",
+        lambda n, g, t, bound: floored.append((n, g, t)) or lattice_floor(n, g, t, bound),
+    )
     _best_ring.cache_clear()
     met = [n for n in PAPER_SWEEPS if _best_ring(n)[1] == _layer_floor(n)]
     assert len(met) == 184
     for n, t, bound in keyed:
         if n in met:
             assert bound == _layer_floor(n)[0], (n, t, bound)
-            assert ring_floor(n, t, bound) == _layer_floor(n), (n, t)
+            assert lattice_floor(n, 1, t, bound) == _layer_floor(n), (n, t)
     assert len(keyed) == 373  # 1,194 when every walk started above the floor
     # the second walk reuses the first walk's floors, so no t's floor is read twice
     assert len(floored) == len(set(floored)) == 4761
@@ -446,9 +458,44 @@ def test_general_search_keys_no_pair_once_the_ring_meets_the_floor(monkeypatch):
     assert _best_ring(100)[1] == _layer_floor(100)
     assert search_best_circulant2(100) == CirculantSpec(100, (1, 18))
     assert keyed == []
+    # nor lists one: 256 has no connected pair without a unit generatrix,
+    # and listing its pairs took 6,049 gcds; two are CirculantSpec's checks
+    assert _best_ring(256)[1] == _layer_floor(256)
+    gcd, calls = math.gcd, []
+    with monkeypatch.context() as patch:
+        patch.setattr(topology.math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+        spec = search_best_circulant2(256)
+    assert spec.generatrices == (1, 92)
+    assert len(calls) == 2
+    # 144 misses the floor, and the lattice floor passes over the 46 pairs
+    # before (8, 9) that the search keyed when it read no floor
     assert _best_ring(144)[1] > _layer_floor(144)
     assert search_best_circulant2(144) == CirculantSpec(144, (8, 9))
-    assert keyed
+    assert keyed == [(144, *_pair_frame(144, 8, 9), _best_ring(144)[1][0])]
+
+
+# The ring misses the layer floor at these sizes above the brute-force
+# oracle's n <= 50; their general winners, as the search found them before
+# it read pair floors.
+GENERAL_WINNERS = {112: (7, 8), 144: (8, 9), 400: (2, 55), 441: (3, 56), 1200: (24, 25)}
+
+
+def test_general_search_winners_where_the_ring_misses_the_floor():
+    for n, pair in GENERAL_WINNERS.items():
+        assert _best_ring(n)[1] > _layer_floor(n), n
+        assert search_best_circulant2(n).generatrices == pair, n
+
+
+def test_general_search_keys_only_pairs_whose_lattice_floor_is_below_the_best(monkeypatch):
+    keyed = []
+    pair_key = topology._pair_key
+    monkeypatch.setattr(topology, "_pair_key", lambda *args: keyed.append(args) or pair_key(*args))
+    missed = [n for n in range(100, 401) if _best_ring(n)[1] != _layer_floor(n)]
+    assert len(missed) == 20
+    for n in missed:
+        search_best_circulant2(n)
+    assert {args[0] for args in keyed} == set(missed)
+    assert len(keyed) == 33  # 1,095 without the pair floor
 
 
 def test_circulant_profile_matches_graph_bfs():
@@ -645,20 +692,48 @@ def test_pair_key_matches_bfs_and_prunes_below_the_diameter():
             profile = ref_pair_profile(n, s1, s2)
             key = (max(profile), sum(profile))
             assert key[0] >= floor[0] and key[1] >= floor[1], (n, s1, s2)
-            assert _pair_key(n, s1, s2, n) == key, (n, s1, s2)
-            assert _pair_key(n, s1, s2, key[0]) == key, (n, s1, s2)
+            assert _pair_key(n, *_pair_frame(n, s1, s2), n) == key, (n, s1, s2)
+            assert _pair_key(n, *_pair_frame(n, s1, s2), key[0]) == key, (n, s1, s2)
             for bound in range(key[0]):
-                assert _pair_key(n, s1, s2, bound)[0] > bound, (n, s1, s2, bound)
+                assert _pair_key(n, *_pair_frame(n, s1, s2), bound)[0] > bound, (n, s1, s2, bound)
 
 
 def test_pair_key_matches_bfs_for_every_non_unit_pair():
+    # and the pair's lattice floor, under any bound the search passes it,
+    # is at most that key
     count = 0
     for n in range(5, 121):
         for s1, s2 in _non_unit_pairs(n):
             profile = ref_pair_profile(n, s1, s2)
-            assert _pair_key(n, s1, s2, n) == (max(profile), sum(profile)), (n, s1, s2)
+            key = (max(profile), sum(profile))
+            g, t = _pair_frame(n, s1, s2)
+            assert _pair_key(n, g, t, n) == key, (n, s1, s2)
+            for bound in (*range(key[0] + 2), n):
+                assert _lattice_floor(n, g, t, bound) <= key, (n, s1, s2, bound)
             count += 1
     assert count == 3223
+
+
+def test_pair_short_vector_is_the_brute_force_shortest():
+    # the least (|x| + |y|, ||x| - |y||) over the nonzero (x, y) with
+    # x s1 + y s2 = 0 mod n, found radius by radius, against the weighted
+    # walk on the pair's frame, for every connected pair, unit or not
+    count = 0
+    for n in range(5, 61):
+        for s1, s2 in _pairs_up_to_half(n):
+            r, found = 0, []
+            while not found:
+                r += 1
+                found = [
+                    (r, abs(2 * abs(x) - r))
+                    for x in range(-r, r + 1)
+                    for y in {r - abs(x), abs(x) - r}
+                    if (x * s1 + y * s2) % n == 0
+                ]
+            g, t = _pair_frame(n, s1, s2)
+            assert _short_vector(n // g, g, t) == min(found), (n, s1, s2)
+            count += 1
+    assert count == 7219
 
 
 @given(n=st.integers(min_value=6, max_value=300), data=st.data())
@@ -672,9 +747,9 @@ def test_pair_key_matches_bfs_on_random_non_unit_pairs(n, data):
     key = (max(profile), sum(profile))
     bound = data.draw(st.integers(min_value=0, max_value=key[0]))
     if bound == key[0]:
-        assert _pair_key(n, s1, s2, bound) == key
+        assert _pair_key(n, *_pair_frame(n, s1, s2), bound) == key
     else:
-        assert _pair_key(n, s1, s2, bound)[0] > bound
+        assert _pair_key(n, *_pair_frame(n, s1, s2), bound)[0] > bound
 
 
 def _moore_bound_holds(spec):
